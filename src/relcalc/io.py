@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -62,6 +63,24 @@ def _decode_matrix(obj, rows: int, path: str) -> np.ndarray:
         raise DocumentError(f"{path}: expected {rows} rows, got {len(obj)}")
     if rows == 0:
         return np.zeros((0, 0), dtype=complex)
+    # One numpy call converts a well-formed block.  numpy also accepts bools
+    # and numeric strings, so the entry types are checked on the flattened
+    # list as well; anything else is walked entry by entry for its message.
+    try:
+        pairs = np.array(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return _decode_entries(obj, path)
+    if (
+        pairs.ndim == 3
+        and pairs.shape[2] == 2
+        and set(map(type, chain.from_iterable(chain.from_iterable(obj)))) <= {int, float}
+        and np.all(np.isfinite(pairs))
+    ):
+        return pairs.view(complex)[..., 0]
+    return _decode_entries(obj, path)
+
+
+def _decode_entries(obj: list, path: str) -> np.ndarray:
     width = None
     data = []
     for i, row in enumerate(obj):
@@ -72,7 +91,7 @@ def _decode_matrix(obj, rows: int, path: str) -> np.ndarray:
         elif len(row) != width:
             raise DocumentError(f"{path}[{i}]: ragged row (expected {width} entries)")
         data.append([_decode_entry(e, f"{path}[{i}][{j}]") for j, e in enumerate(row)])
-    return np.array(data, dtype=complex).reshape(rows, width or 0)
+    return np.array(data, dtype=complex).reshape(len(obj), width or 0)
 
 
 def _decode_dim(doc: dict, key: str = "dim") -> int:

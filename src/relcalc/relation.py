@@ -236,7 +236,7 @@ class Relation:
         )
         lift_self = np.vstack(
             [
-                np.hstack([np.zeros((n, n), dtype=complex), eye]),
+                np.hstack([zero_s, eye]),
                 np.hstack([self.F, np.zeros((n, n), dtype=complex)]),
                 np.hstack([self.G, np.zeros((n, n), dtype=complex)]),
             ]

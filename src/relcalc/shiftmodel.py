@@ -164,8 +164,6 @@ def window_gap(lhs, rhs, w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) ->
     b = window_compress(rhs, w, cfg)
     if isinstance(a, Relation) != isinstance(b, Relation):
         raise TypeError("cannot compare a subspace with a relation")
-    if isinstance(a, Relation):
-        return a.gap(b)
     return a.gap(b)
 
 

@@ -19,21 +19,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
 
 __all__ = ["ToleranceConfig", "DEFAULT_TOL", "Subspace", "orthonormalize"]
 
 # Constructor sanity bound for frame orthonormality; independent of the
 # per-operation tolerances because it guards representation validity only.
 _FRAME_ATOL = 1e-8
-
-# Tall generator families with more rows than this are reduced by a thin
-# QR before the pivoted factorization; see _orthonormal_columns.  Measured
-# with OpenBLAS on 2 CPUs: from about 4000 entries scipy's pivoted QR of the
-# whole input starts threading and runs 2-4x slower than the reduced path,
-# while below that the extra call costs 20-60% more per call.  A tall input
-# with at most 64 rows has fewer than 4096 entries.
-_REDUCE_ABOVE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -94,31 +85,14 @@ def _rank(singular_values: np.ndarray, rank_tol: float, scale=None) -> int:
 
 
 def _orthonormal_columns(mat: np.ndarray, rank_tol: float, scale=None) -> np.ndarray:
-    """Deterministic orthonormal basis of the column span of ``mat``.
-
-    The basis comes from column-pivoted QR, whose pivot rule (largest
-    remaining norm, first column on ties) makes the result reproducible for
-    a fixed column order.  Rank comes from singular values: those of the
-    triangular factor R, which equal those of ``mat`` because Q has
-    orthonormal columns.
-
-    A large tall ``mat`` is first reduced by a thin QR, ``mat = Q0 R0``.
-    Q0 is an isometry, so pivoting R0 picks the same columns as pivoting
-    ``mat``, and the pivoted factorization runs on the small square R0.
-    This keeps scipy's calls small: the numpy and scipy wheels each bundle
-    their own OpenBLAS, and two multithreaded BLAS pools in one process
-    stall each other on few cores.
-    """
+    """Orthonormal basis of the column span of ``mat``: its leading left
+    singular vectors, as many as the rank read from the same singular
+    values.  One thin SVD gives both, in numpy's single BLAS pool."""
     d, m = mat.shape
     if d == 0 or m == 0:
         return np.zeros((d, 0), dtype=complex)
-    reduced = d > max(m, _REDUCE_ABOVE_ROWS)
-    if reduced:
-        q0, mat = np.linalg.qr(mat)
-    q, tri, _ = scipy.linalg.qr(mat, mode="economic", pivoting=True)
-    r = _rank(np.linalg.svd(tri, compute_uv=False), rank_tol, scale)
-    q = q[:, :r]
-    return np.ascontiguousarray(q0 @ q if reduced else q)
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    return np.ascontiguousarray(u[:, :_rank(s, rank_tol, scale)])
 
 
 def _row_space_and_kernel(mat: np.ndarray, rank_tol: float, scale=None):
@@ -160,7 +134,8 @@ class Subspace:
             raise ValueError(f"frame has {r} columns in ambient dimension {d}")
         if r > 0:
             gram = frame.conj().T @ frame
-            if np.linalg.norm(gram - np.eye(r)) > _FRAME_ATOL * max(1, r):
+            # Written so that a NaN norm, from a non-finite frame, also fails.
+            if not np.linalg.norm(gram - np.eye(r)) <= _FRAME_ATOL * max(1, r):
                 raise ValueError("frame columns are not orthonormal")
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)

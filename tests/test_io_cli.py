@@ -91,6 +91,14 @@ def test_parse_errors(payload, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("entry", ["[true, 0]", "[0, false]"])
+def test_bool_entries_rejected(entry):
+    text = '{"dim": 1, "F": [[[1, 0]]], "G": [[%s]]}' % entry
+    with pytest.raises(DocumentError) as err:
+        parse_relation(text)
+    assert "G[0][0]: expected a [re, im] pair" in str(err.value)
+
+
 def test_non_finite_entries_rejected():
     text = '{"dim": 1, "F": [[[1e999, 0]]], "G": [[[0, 0]]]}'
     with pytest.raises(DocumentError):

@@ -101,6 +101,29 @@ def test_compose_matrix_oracle(rng):
     assert lhs.gap(Relation.from_operator(b @ a)) < 1e-10
 
 
+def _projector_onto_span(mat, tol=1e-10):
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    q = u[:, : int(np.count_nonzero(s > tol))]
+    return q @ q.conj().T
+
+
+def test_compose_every_left_graph_dim_null_space_oracle(rng):
+    # {0} o I = {0}: the left factor's graph has dimension 0, not n
+    assert Relation.zero(2).compose(Relation.identity(2)).graph.dim == 0
+    for n in (1, 2, 3):
+        for graph_dim in range(2 * n + 1):
+            s = gen.random_relation(rng, n, graph_dim)
+            t = gen.random_relation(rng, n)
+            # (f, g) = (F_T x, G_T x) and (g, k) = (F_S y, G_S y): the
+            # coefficient pairs (x, y) form the null space of [G_T, -F_S]
+            _, sv, vh = np.linalg.svd(np.hstack([t.G, -s.F]))
+            xy = vh[int(np.count_nonzero(sv > 1e-10)) :].conj().T
+            a = t.graph.dim
+            expected = np.vstack([t.F @ xy[:a], s.G @ xy[a:]])
+            got = s.compose(t).graph.projector()
+            assert np.linalg.norm(got - _projector_onto_span(expected), 2) < 1e-9
+
+
 def test_add_cancellation_on_operator(rng):
     m = gen.complex_matrix(rng, 3, 3)
     t = Relation.from_operator(m)

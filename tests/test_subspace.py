@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relcalc
 from relcalc import Subspace, ToleranceConfig, orthonormalize
 from relcalc.subspace import _orthonormal_columns
 
@@ -54,6 +60,17 @@ def test_frame_validation():
         Subspace(np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         Subspace(np.ones((2, 3)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_frame_rejected(bad):
+    with pytest.raises(ValueError):
+        Subspace(np.full((2, 1), bad))
+    frame = np.eye(3, 2, dtype=complex)
+    frame[2, 1] = bad
+    with pytest.raises(ValueError):
+        Subspace(frame)
 
 
 def test_intersect_examples():
@@ -138,7 +155,7 @@ def test_gap_and_rank_match_dense_svd(rng):
             yield relation.F
             yield relation.G
             yield np.hstack([gen.random_subspace(rng, d).frame, gen.random_subspace(rng, d).frame])
-        # tall families large enough to take the thin-QR reduction
+        # tall families
         for d in (65, 130):
             m = int(rng.integers(1, 40))
             k = int(rng.integers(0, m + 1))
@@ -174,7 +191,8 @@ def test_orthonormalize_deterministic(rng):
 
 
 def test_orthonormalize_pivot_tie_breaking():
-    # equal-norm columns: the pivot rule takes the lowest index first
+    # equal-norm columns: the singular values tie, and the SVD frame of the
+    # already orthonormal pair is the pair itself, lowest index first
     s = orthonormalize([np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])])
     assert s.dim == 2
     assert abs(abs(s.frame[0, 0]) - 1.0) < 1e-12
@@ -223,3 +241,48 @@ def test_lattice_properties_hypothesis(seed, dim):
     inter = a.intersect(b)
     assert a.contains(inter) and b.contains(inter)
     assert a.sum(a.complement()).gap(Subspace.full(dim)) < 1e-10
+
+
+def _run_isolated(code, **env):
+    """Run ``code`` in a fresh interpreter with relcalc importable."""
+    src = str(Path(relcalc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    out = _run_isolated("import sys, relcalc; print('scipy' in sys.modules)")
+    assert out.strip() == "False"
+
+
+_FRAME_SCRIPT = """
+import numpy as np
+from relcalc import Subspace
+rng = np.random.default_rng(7)
+def gaussian(rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+s = Subspace.span(gaussian(256, 150) @ gaussian(150, 200))
+np.save({path!r}, s.frame)
+"""
+
+
+def test_span_frame_agrees_across_blas_thread_counts(tmp_path):
+    # Frames are bit-identical only at a fixed thread count; across counts
+    # the rank must agree and the subspaces must coincide in the gap metric.
+    spans = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"frame{threads}.npy"
+        _run_isolated(_FRAME_SCRIPT.format(path=str(path)),
+                      OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        spans.append(Subspace(np.load(path)))
+    one, two = spans
+    assert one.dim == two.dim == 150
+    assert one.gap(two) < 1e-12
