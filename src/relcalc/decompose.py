@@ -34,7 +34,6 @@ from .subspace import (
     DEFAULT_TOL,
     Subspace,
     ToleranceConfig,
-    _kernel,
     _orthonormal_columns,
     _row_space_and_kernel,
 )
@@ -68,8 +67,10 @@ class DecompositionResult:
     """A reducing subspace, both restricted parts and their certificates.
 
     ``wandering`` carries the wandering space for the isometry/symmetric
-    engines; ``iterations`` counts the stabilization steps of the
-    defining subspace iteration.
+    engines.  ``iterations`` counts the steps of the defining subspace
+    growth, the step that adds nothing included: hull steps of the
+    unitary part for the contraction and dissipative engines, image-chain
+    steps for the symmetric one and range-chain steps for the isometry.
     """
 
     k: Subspace
@@ -107,57 +108,48 @@ def maximalize_contraction(relation: Relation,
     return Relation(relation.graph.sum(Subspace(w_frame), cfg))
 
 
-def _unitary_part_iteration(matrix: np.ndarray, cfg: ToleranceConfig):
-    """Largest reducing subspace on which a maximal contraction is unitary.
+def _unitary_part(relation: Relation, cfg: ToleranceConfig):
+    """Largest reducing subspace on which a closed contraction is unitary,
+    and the number of hull steps that found it.
 
-    Intersects the kernels of D V^m and D* (V^H)^m, m = 0, 1, ..., where
-    D = I - V^H V and D* = I - V V^H (defect kernels coincide with those of
-    the defect square roots, so the roots are never formed).  The chain is
-    monotone, so one stalled step means it has stabilized; a cap of 2n
-    steps guards tolerance pathologies.  Defect matrices are O(1) by
-    construction, hence the absolute kernel threshold.
+    The contraction is padded to an everywhere-defined matrix V first.
+    K-perp is the smallest subspace invariant under V and V^H that contains
+    ran D + ran D*, with D = I - V^H V and D* = I - V V^H (Van Dooren 1981,
+    Paige 1981).  The hull's frame starts from one SVD of [D, D*]; each
+    step maps only the columns added by the previous one, orthogonalizes
+    them twice against the frame and keeps what survives the cut.  The
+    seed is step 1, and a step that adds nothing is counted and ends the
+    growth, as does a frame that fills the space.  Frames and defects are
+    O(1) by construction, hence the absolute cut.
     """
+    matrix = operator_matrix(maximalize_contraction(relation, cfg), cfg)
     n = matrix.shape[0]
-    defect = np.eye(n) - matrix.conj().T @ matrix
-    defect_star = np.eye(n) - matrix @ matrix.conj().T
-    k = Subspace.full(n)
-    power = np.eye(n, dtype=complex)
-    power_h = np.eye(n, dtype=complex)
-    iterations = 0
-    for _ in range(2 * n + 1):
-        constraint = np.vstack([defect @ power, defect_star @ power_h])
-        level = Subspace(_kernel(constraint, cfg.rank_tol, scale=1.0))
-        new = k.intersect(level, cfg)
-        iterations += 1
-        if new.dim == k.dim:
-            return new, iterations
-        k = new
-        if k.dim == 0:
-            return k, iterations
-        power = matrix @ power
-        power_h = matrix.conj().T @ power_h
-    raise ArithmeticError("defect-kernel iteration failed to stabilize")
+    matrix_h = matrix.conj().T
+    eye = np.eye(n)
+    defects = np.hstack([eye - matrix_h @ matrix, eye - matrix @ matrix_h])
+    frame = added = _orthonormal_columns(defects, cfg.rank_tol, scale=1.0)
+    steps = 1
+    while added.shape[1] and frame.shape[1] < n:
+        images = np.hstack([matrix @ added, matrix_h @ added])
+        for _pass in range(2):  # Gram-Schmidt twice is enough against the frame
+            images = images - frame @ (frame.conj().T @ images)
+        added = _orthonormal_columns(images, cfg.rank_tol, scale=1.0)
+        frame = np.hstack([frame, added])
+        steps += 1
+    return Subspace(frame).complement(cfg), steps
 
 
 def unitary_part_subspace(relation: Relation,
                           cfg: ToleranceConfig = DEFAULT_TOL) -> Subspace:
-    """Unitary-part subspace of an everywhere-defined contraction operator."""
-    rep = classify(relation, cfg)
-    if not rep.is_contraction:
-        raise ValueError("relation is not a contraction")
-    matrix = operator_matrix(relation, cfg)
-    k, _ = _unitary_part_iteration(matrix, cfg)
-    return k
+    """Unitary-part subspace of a closed contraction (padded by zero
+    outside its domain, as in ``nfl_decompose``)."""
+    return _unitary_part(relation, cfg)[0]
 
 
 def _unitary_part_is_trivial(relation: Relation, cfg: ToleranceConfig) -> float:
     """Dimension of the unitary part of a contraction after padding;
     zero certifies complete nonunitarity."""
-    if relation.n == 0:
-        return 0.0
-    padded = maximalize_contraction(relation, cfg)
-    k, _ = _unitary_part_iteration(operator_matrix(padded, cfg), cfg)
-    return float(k.dim)
+    return float(_unitary_part(relation, cfg)[0].dim)
 
 
 def _classify_within(relation: Relation, space: Subspace, cfg: ToleranceConfig):
@@ -175,11 +167,7 @@ def _selfadjoint_within_gap(relation: Relation, space: Subspace,
 def nfl_decompose(relation: Relation,
                   cfg: ToleranceConfig = DEFAULT_TOL) -> DecompositionResult:
     """Split a closed contraction into unitary and completely nonunitary parts."""
-    if not classify(relation, cfg).is_contraction:
-        raise ValueError("relation is not a contraction")
-    padded = maximalize_contraction(relation, cfg)
-    matrix = operator_matrix(padded, cfg)
-    k, iterations = _unitary_part_iteration(matrix, cfg)
+    k, iterations = _unitary_part(relation, cfg)
     k_perp = k.complement(cfg)
     part_k = relation.restrict(k, cfg)
     part_p = relation.restrict(k_perp, cfg)
@@ -281,9 +269,7 @@ def dissipative_decompose(relation: Relation,
     """
     if not classify(relation, cfg).is_dissipative:
         raise ValueError("relation is not dissipative")
-    contraction = z_transform(relation, 1j, cfg)
-    padded = maximalize_contraction(contraction, cfg)
-    k, iterations = _unitary_part_iteration(operator_matrix(padded, cfg), cfg)
+    k, iterations = _unitary_part(z_transform(relation, 1j, cfg), cfg)
     k_perp = k.complement(cfg)
     part_k = relation.restrict(k, cfg)
     part_p = relation.restrict(k_perp, cfg)

@@ -50,7 +50,10 @@ def _decode_entry(obj, path: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
     ):
         raise DocumentError(f"{path}: expected a [re, im] pair")
-    value = complex(obj[0], obj[1])
+    try:
+        value = complex(obj[0], obj[1])
+    except OverflowError:
+        raise DocumentError(f"{path}: entry beyond float range") from None
     if not np.isfinite(value.real) or not np.isfinite(value.imag):
         raise DocumentError(f"{path}: non-finite entry")
     return value

@@ -132,9 +132,11 @@ class Subspace:
         d, r = frame.shape
         if r > d:
             raise ValueError(f"frame has {r} columns in ambient dimension {d}")
+        if not np.isfinite(frame).all():
+            raise ValueError("frame has non-finite entries")
         if r > 0:
             gram = frame.conj().T @ frame
-            # Written so that a NaN norm, from a non-finite frame, also fails.
+            # Written so that a NaN norm, from an overflowing product, also fails.
             if not np.linalg.norm(gram - np.eye(r)) <= _FRAME_ATOL * max(1, r):
                 raise ValueError("frame columns are not orthonormal")
         frame.setflags(write=False)
@@ -190,15 +192,26 @@ class Subspace:
     # -- lattice operations -------------------------------------------
 
     def intersect(self, other: "Subspace", cfg: ToleranceConfig = DEFAULT_TOL) -> "Subspace":
-        """Largest subspace contained in both, via the kernel of the
-        stacked projector complements."""
+        """Largest subspace contained in both, from principal angles.
+
+        With A the smaller frame and B the other, the singular values of
+        (I - P_B) A are the sines of the principal angles (Bjorck & Golub
+        1973), and its kernel at the cut sqrt(2) * rank_tol gives the
+        coefficients of the shared directions.  The stacked projector
+        complements [I - P_A; I - P_B] have sqrt(2) sin(theta / 2) there,
+        so the cut keeps their rank_tol boundary to O(theta^2).  Each
+        shared direction u is returned as (u + P_B u) / 2, which is unit
+        to O(theta^2) and halfway between both spaces, as the stacked
+        kernel's vector was.
+        """
         self._check_ambient(other)
-        d = self.ambient_dim
         if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(d)
-        eye = np.eye(d, dtype=complex)
-        stacked = np.vstack([eye - self.projector(), eye - other.projector()])
-        return Subspace(_kernel(stacked, cfg.rank_tol, scale=1.0))
+            return Subspace.zero(self.ambient_dim)
+        small, large = (self, other) if self.dim <= other.dim else (other, self)
+        a, b = small.frame, large.frame
+        cosines = b.conj().T @ a
+        coeffs = _kernel(a - b @ cosines, np.sqrt(2) * cfg.rank_tol, scale=1.0)
+        return Subspace((a @ coeffs + b @ (cosines @ coeffs)) / 2)
 
     def sum(self, other: "Subspace", cfg: ToleranceConfig = DEFAULT_TOL) -> "Subspace":
         """Smallest subspace containing both."""

@@ -12,6 +12,7 @@ from relcalc import (
     dissipative_decompose,
     maximalize_contraction,
     nfl_decompose,
+    operator_matrix,
     symmetric_wold_decompose,
     unitary_part_subspace,
     von_neumann_check,
@@ -20,6 +21,7 @@ from relcalc import (
 )
 
 import gen
+from reference import defect_kernel_unitary_part
 
 
 # -- maximalization -----------------------------------------------------
@@ -80,6 +82,41 @@ def test_unitary_part_conjugated_blocks(rng):
     for _ in range(10):
         v, expected = gen.block_contraction(rng, 3, 2)
         assert unitary_part_subspace(v).gap(expected) < 1e-8
+
+
+def _hull_and_reference(v):
+    reference = defect_kernel_unitary_part(operator_matrix(maximalize_contraction(v)))
+    return unitary_part_subspace(v), reference
+
+
+def test_unitary_part_hull_matches_defect_kernel_reference(rng):
+    for _ in range(40):
+        n = int(rng.integers(1, 31))
+        k_dim = int(rng.integers(0, n + 1))
+        v, _ = gen.block_contraction(rng, k_dim, n - k_dim)
+        k, ref = _hull_and_reference(v)
+        assert k.dim == ref.dim == k_dim
+        assert k.gap(ref) < 1e-12
+    # the compressed shift that symmetric_wold_decompose certifies
+    for n in (16, 32, 48, 64):
+        split = symmetric_wold_decompose(
+            build_multivalued_extension(WindowConfig(n=n)), require_maximal=False)
+        shift = z_transform(compress(split.part_k, split.k), 1j)
+        k, ref = _hull_and_reference(shift)
+        assert k.dim == ref.dim == 0
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-8])
+def test_unitary_part_hull_near_circle_matches_reference(rng, delta):
+    # The true unitary part always holds Q e3.  Both chains cut tighter
+    # than the eps / delta accuracy of the near-unitary direction, which
+    # can drop it (ROADMAP Direction 1); the hull must decide as the old
+    # chain did.
+    for _ in range(10):
+        q = gen.random_unitary(rng, 3)
+        v = Relation.from_operator(q @ np.diag([1 - delta, 0.5, np.exp(1j)]) @ q.conj().T)
+        k, ref = _hull_and_reference(v)
+        assert k.dim == ref.dim
 
 
 # -- contraction splitting ----------------------------------------------

@@ -220,6 +220,14 @@ def test_cli_input_errors(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("entry", ["[1%s, 0]" % ("0" * 400), "[0, -1%s]" % ("0" * 400)],
+                         ids=["re", "im"])
+def test_cli_integer_beyond_float_range_exits_two(tmp_path, capsys, entry):
+    path = _write(tmp_path, "huge.json", '{"dim": 1, "F": [[%s]], "G": [[[0, 0]]]}' % entry)
+    assert main(["classify", path]) == 2
+    assert "F[0][0]: entry beyond float range" in capsys.readouterr().err
+
+
 def test_cli_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

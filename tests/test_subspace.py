@@ -13,6 +13,7 @@ from relcalc import Subspace, ToleranceConfig, orthonormalize
 from relcalc.subspace import _orthonormal_columns
 
 import gen
+from reference import stacked_intersect
 
 CFG = ToleranceConfig()
 
@@ -62,7 +63,8 @@ def test_frame_validation():
         Subspace(np.ones((2, 3)))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+# Rejected before any arithmetic: a RuntimeWarning on the way fails the test.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_frame_rejected(bad):
     with pytest.raises(ValueError):
@@ -90,6 +92,43 @@ def test_intersection_contained_in_both(rng):
             assert np.linalg.norm(a.projector() @ inter.frame - inter.frame) < 1e-9
             assert np.linalg.norm(b.projector() @ inter.frame - inter.frame) < 1e-9
         assert a.contains(inter) and b.contains(inter)
+
+
+def test_intersect_matches_stacked_projector_reference(rng):
+    for _ in range(200):
+        d = int(rng.integers(1, 13))
+        a = gen.random_subspace(rng, d)
+        # half of the pairs share a planted subspace of a as well
+        shared = gen._sub_subspace(rng, a, int(rng.integers(0, a.dim + 1)))
+        b = gen.random_subspace(rng, d) if rng.uniform() < 0.5 else shared.sum(
+            gen.random_subspace(rng, d, int(rng.integers(0, d - shared.dim + 1))))
+        for x, y in ((a, b), (b, a)):
+            ref = stacked_intersect(x, y)
+            got = x.intersect(y)
+            assert got.dim == ref.dim
+            assert got.gap(ref) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.5e-10, 0.9e-10, 1.2e-10, 1.35e-10, 1.5e-10, 3e-10])
+def test_intersect_planted_angle_matches_reference(rng, theta):
+    # one principal angle theta between u and v, all others O(1); the
+    # cut keeps the pair exactly when sin(theta) <= sqrt(2) * rank_tol
+    expected = 1 if np.sin(theta) <= np.sqrt(2) * CFG.rank_tol else 0
+    for _ in range(20):
+        d = int(rng.integers(3, 13))
+        q = gen.random_unitary(rng, d)
+        u, w = q[:, 0], q[:, 1]
+        v = np.cos(theta) * u + np.sin(theta) * w
+        extra_a = int(rng.integers(0, (d - 2) // 2 + 1))
+        extra_b = int(rng.integers(0, d - 2 - extra_a + 1))
+        a = Subspace.span(np.column_stack([u, q[:, 2:2 + extra_a]]), ambient_dim=d)
+        rest = q[:, 2 + extra_a:2 + extra_a + extra_b]
+        b = Subspace.span(np.column_stack([v, rest]), ambient_dim=d)
+        for x, y in ((a, b), (b, a)):
+            ref = stacked_intersect(x, y)
+            got = x.intersect(y)
+            assert got.dim == ref.dim == expected
+            assert got.gap(ref) < 1e-12
 
 
 def test_sum_rank_oracle():
