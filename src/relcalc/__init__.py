@@ -21,7 +21,7 @@ from .relation import (
 )
 from .ztransform import ZPropertyReport, subspace_fixed_point_check, z_properties_check, z_transform
 from .invariance import (
-    InvarianceCheck,
+    Certificate,
     ReductionReport,
     adjoint_within,
     compress,
@@ -32,7 +32,6 @@ from .invariance import (
     reduction_certificates,
 )
 from .decompose import (
-    Certificate,
     DecompositionResult,
     dissipative_decompose,
     maximalize_contraction,
@@ -78,7 +77,7 @@ __all__ = [
     "subspace_fixed_point_check",
     "z_properties_check",
     "z_transform",
-    "InvarianceCheck",
+    "Certificate",
     "ReductionReport",
     "adjoint_within",
     "compress",
@@ -87,7 +86,6 @@ __all__ = [
     "is_reducing",
     "orthogonal_relation_sum",
     "reduction_certificates",
-    "Certificate",
     "DecompositionResult",
     "dissipative_decompose",
     "maximalize_contraction",

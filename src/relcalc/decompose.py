@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariance import adjoint_within, compress, reduction_gap
+from .invariance import Certificate, _split, adjoint_within, compress
 from .relation import Relation, classify, operator_matrix
 from .subspace import (
     DEFAULT_TOL,
@@ -40,7 +40,6 @@ from .subspace import (
 from .ztransform import z_transform
 
 __all__ = [
-    "Certificate",
     "DecompositionResult",
     "maximalize_contraction",
     "unitary_part_subspace",
@@ -50,16 +49,6 @@ __all__ = [
     "symmetric_wold_decompose",
     "von_neumann_check",
 ]
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """One verified claim: the residual that was compared to a tolerance."""
-
-    name: str
-    passed: bool
-    residual: float
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -169,10 +158,7 @@ def nfl_decompose(relation: Relation,
     """Split a closed contraction into unitary and completely nonunitary parts."""
     k, iterations = _unitary_part(relation, cfg)
     k_perp = k.complement(cfg)
-    part_k = relation.restrict(k, cfg)
-    part_p = relation.restrict(k_perp, cfg)
-
-    r_red = reduction_gap(relation, k, cfg)
+    part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     within = _classify_within(part_k, k, cfg)
     cnu_dim = _unitary_part_is_trivial(compress(part_p, k_perp, cfg), cfg)
     # The padding never meets K, so the unitary part sits inside dom V.
@@ -237,10 +223,7 @@ def wold_decompose(relation: Relation,
         img = nxt
 
     k_perp = k.complement(cfg)
-    part_k = relation.restrict(k, cfg)
-    part_p = relation.restrict(k_perp, cfg)
-
-    r_red = reduction_gap(relation, k, cfg)
+    part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     within = _classify_within(part_k, k, cfg)
     r_wand = k_perp.gap(acc)
     deg = float(n - k.dim) + float(wandering.dim)
@@ -271,10 +254,7 @@ def dissipative_decompose(relation: Relation,
         raise ValueError("relation is not dissipative")
     k, iterations = _unitary_part(z_transform(relation, 1j, cfg), cfg)
     k_perp = k.complement(cfg)
-    part_k = relation.restrict(k, cfg)
-    part_p = relation.restrict(k_perp, cfg)
-
-    r_red = reduction_gap(relation, k, cfg)
+    part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     r_sa = _selfadjoint_within_gap(part_k, k, cfg)
     mul_dim = float(part_p.mul(cfg).dim)
     cns_dim = _unitary_part_is_trivial(
@@ -343,10 +323,7 @@ def symmetric_wold_decompose(relation: Relation,
     k = Subspace(frame)
 
     k_perp = k.complement(cfg)
-    part_k = relation.restrict(k, cfg)
-    part_p = relation.restrict(k_perp, cfg)
-
-    r_red = reduction_gap(relation, k, cfg)
+    part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     r_sa = _selfadjoint_within_gap(part_p, k_perp, cfg)
     within = _classify_within(part_k, k, cfg) if k.dim > 0 else None
     shift = z_transform(compress(part_k, k, cfg), 1j, cfg) if k.dim > 0 else None

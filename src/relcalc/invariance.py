@@ -19,7 +19,7 @@ from .subspace import DEFAULT_TOL, Subspace, ToleranceConfig
 from .ztransform import z_transform
 
 __all__ = [
-    "InvarianceCheck",
+    "Certificate",
     "ReductionReport",
     "is_invariant",
     "is_reducing",
@@ -32,57 +32,53 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class InvarianceCheck:
-    """Outcome of the three invariance conditions, individually attributable."""
+class Certificate:
+    """One verified claim: the residual that was compared to a tolerance."""
 
-    domain_splits: bool
-    multivalued_splits: bool
-    restriction_domain_matches: bool
-    residuals: dict
-
-    @property
-    def ok(self) -> bool:
-        return self.domain_splits and self.multivalued_splits and self.restriction_domain_matches
-
-    def __bool__(self) -> bool:
-        return self.ok
+    name: str
+    passed: bool
+    residual: float
+    tolerance: float
 
 
-def _splits_across(space: Subspace, k: Subspace, k_perp: Subspace,
-                   cfg: ToleranceConfig) -> float:
-    pieces = space.intersect(k, cfg).sum(space.intersect(k_perp, cfg), cfg)
-    return space.gap(pieces)
+def _sum_gap(whole: Subspace, first: Subspace, second: Subspace,
+             cfg: ToleranceConfig) -> float:
+    """Gap between a subspace and the sum of two of its pieces."""
+    return whole.gap(first.sum(second, cfg))
+
+
+def _split(relation: Relation, k: Subspace, k_perp: Subspace, cfg: ToleranceConfig):
+    """Restrictions of T to K and K-perp, and the gap between T and their sum."""
+    part_k = relation.restrict(k, cfg)
+    part_p = relation.restrict(k_perp, cfg)
+    return part_k, part_p, _sum_gap(relation.graph, part_k.graph, part_p.graph, cfg)
 
 
 def is_invariant(relation: Relation, k: Subspace,
-                 cfg: ToleranceConfig = DEFAULT_TOL) -> InvarianceCheck:
-    """Check the three invariance conditions of K for the relation.
+                 cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Whether K is invariant: all three invariance conditions hold.
 
     (1) dom T = (dom T ^ K) (+) (dom T ^ K-perp), (2) the same splitting
     for mul T, (3) dom of the restricted part equals dom T ^ K.
+    ``reduction_certificates`` reports each condition's residual.
     """
     if k.ambient_dim != relation.n:
         raise ValueError("subspace ambient dimension must equal the space dimension")
     k_perp = k.complement(cfg)
-    dom = relation.dom(cfg)
-    mul = relation.mul(cfg)
-    r_dom = _splits_across(dom, k, k_perp, cfg)
-    r_mul = _splits_across(mul, k, k_perp, cfg)
-    r_restr = relation.restrict(k, cfg).dom(cfg).gap(dom.intersect(k, cfg))
-    return InvarianceCheck(
-        domain_splits=r_dom < cfg.gap_tol,
-        multivalued_splits=r_mul < cfg.gap_tol,
-        restriction_domain_matches=r_restr < cfg.gap_tol,
-        residuals={"domain": r_dom, "multivalued": r_mul, "restriction_domain": r_restr},
+    dom, mul = relation.dom(cfg), relation.mul(cfg)
+    dom_k = dom.intersect(k, cfg)
+    residuals = (
+        _sum_gap(dom, dom_k, dom.intersect(k_perp, cfg), cfg),
+        _sum_gap(mul, mul.intersect(k, cfg), mul.intersect(k_perp, cfg), cfg),
+        relation.restrict(k, cfg).dom(cfg).gap(dom_k),
     )
+    return all(r < cfg.gap_tol for r in residuals)
 
 
 def reduction_gap(relation: Relation, k: Subspace,
                   cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Gap between T and the orthogonal sum of its restrictions to K, K-perp."""
-    part_k = relation.restrict(k, cfg)
-    part_p = relation.restrict(k.complement(cfg), cfg)
-    return relation.graph.gap(part_k.graph.sum(part_p.graph, cfg))
+    return _split(relation, k, k.complement(cfg), cfg)[2]
 
 
 def is_reducing(relation: Relation, k: Subspace,
@@ -134,30 +130,22 @@ def adjoint_within(relation: Relation, k: Subspace,
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """Certificates attached to a candidate reducing subspace."""
+    """Certificates attached to a candidate reducing subspace, in report
+    order; the first one is the ``reducing`` verdict."""
 
-    reducing: bool
-    invariant_k: InvarianceCheck
-    invariant_k_perp: InvarianceCheck
-    adjoint_reduced: bool
-    transform_reduced: dict
-    parts_split: dict
-    adjoint_distribution: dict
-    adjoint_sum_identity: bool
-    residuals: dict
+    certificates: tuple
 
     @property
     def ok(self) -> bool:
-        return (
-            self.reducing
-            and self.invariant_k.ok
-            and self.invariant_k_perp.ok
-            and self.adjoint_reduced
-            and all(self.transform_reduced.values())
-            and all(self.parts_split.values())
-            and all(self.adjoint_distribution.values())
-            and self.adjoint_sum_identity
-        )
+        return all(c.passed for c in self.certificates)
+
+    @property
+    def reducing(self) -> bool:
+        return self.certificates[0].passed
+
+    @property
+    def residuals(self) -> dict:
+        return {c.name: c.residual for c in self.certificates}
 
 
 def reduction_certificates(relation: Relation, k: Subspace,
@@ -169,69 +157,51 @@ def reduction_certificates(relation: Relation, k: Subspace,
     graph parts split orthogonally across K and its complement, that the
     adjoint distributes onto the restricted parts, and that the adjoint of
     the orthogonal part sum equals the orthogonal sum of the within-K
-    adjoints.  Failures are reported, never raised.
+    adjoints.  Every check is evaluated whether or not K reduces; failures
+    are reported, never raised.  The restrictions of T and of its adjoint
+    are taken once and shared by all checks.
     """
     if k.ambient_dim != relation.n:
         raise ValueError("subspace ambient dimension must equal the space dimension")
+    certificates = []
+
+    def cert(name, residual):
+        residual = float(residual)
+        certificates.append(Certificate(name, residual < cfg.gap_tol, residual, cfg.gap_tol))
+
     k_perp = k.complement(cfg)
-    residuals: dict = {}
+    part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
+    cert("reducing", r_red)
 
-    r_red = reduction_gap(relation, k, cfg)
-    residuals["reducing"] = r_red
-    reducing = r_red < cfg.gap_tol
-
-    inv_k = is_invariant(relation, k, cfg)
-    inv_p = is_invariant(relation, k_perp, cfg)
+    # The domain and multivalued splittings are symmetric in K and K-perp.
+    dom, mul = relation.dom(cfg), relation.mul(cfg)
+    dom_k, dom_p = dom.intersect(k, cfg), dom.intersect(k_perp, cfg)
+    r_dom = _sum_gap(dom, dom_k, dom_p, cfg)
+    r_mul = _sum_gap(mul, mul.intersect(k, cfg), mul.intersect(k_perp, cfg), cfg)
+    part_dom_k, part_dom_p = part_k.dom(cfg), part_p.dom(cfg)
+    for label, part_dom, dom_in in (("k", part_dom_k, dom_k), ("k_perp", part_dom_p, dom_p)):
+        cert(f"invariant_{label}_domain", r_dom)
+        cert(f"invariant_{label}_multivalued", r_mul)
+        cert(f"invariant_{label}_restriction_domain", part_dom.gap(dom_in))
 
     adj = relation.adjoint(cfg)
-    r_adj = reduction_gap(adj, k, cfg)
-    residuals["adjoint_reduced"] = r_adj
-
-    transform_reduced = {}
+    adj_k, adj_p, r_adj = _split(adj, k, k_perp, cfg)
+    cert("adjoint_reduced", r_adj)
     for label, zeta in (("+i", 1j), ("-i", -1j)):
-        r = reduction_gap(z_transform(relation, zeta, cfg), k, cfg)
-        residuals[f"transform_reduced{label}"] = r
-        transform_reduced[label] = r < cfg.gap_tol
+        transform = z_transform(relation, zeta, cfg)
+        cert(f"transform_reduced{label}", _split(transform, k, k_perp, cfg)[2])
 
-    part_k = relation.restrict(k, cfg)
-    part_p = relation.restrict(k_perp, cfg)
-    parts_split = {}
     for name, whole, a, b in (
-        ("dom", relation.dom(cfg), part_k.dom(cfg), part_p.dom(cfg)),
+        ("dom", dom, part_dom_k, part_dom_p),
         ("ran", relation.ran(cfg), part_k.ran(cfg), part_p.ran(cfg)),
         ("ker", relation.ker(cfg), part_k.ker(cfg), part_p.ker(cfg)),
-        ("mul", relation.mul(cfg), part_k.mul(cfg), part_p.mul(cfg)),
+        ("mul", mul, part_k.mul(cfg), part_p.mul(cfg)),
     ):
-        r = whole.gap(a.sum(b, cfg))
-        residuals[f"split_{name}"] = r
-        parts_split[name] = r < cfg.gap_tol
+        cert(f"split_{name}", _sum_gap(whole, a, b, cfg))
 
-    adjoint_distribution = {}
-    within_k = within_p = None
-    if reducing:
-        within_k = adjoint_within(part_k, k, cfg)
-        within_p = adjoint_within(part_p, k_perp, cfg)
-        for label, within, space in (("k", within_k, k), ("k_perp", within_p, k_perp)):
-            r = within.gap(adj.restrict(space, cfg))
-            residuals[f"adjoint_distribution_{label}"] = r
-            adjoint_distribution[label] = r < cfg.gap_tol
-        r_sum = adj.graph.gap(within_k.graph.sum(within_p.graph, cfg))
-        residuals["adjoint_sum_identity"] = r_sum
-        adjoint_sum_identity = r_sum < cfg.gap_tol
-    else:
-        # The distribution identities presuppose reduction; report them
-        # as failed alongside the reducing verdict.
-        adjoint_distribution = {"k": False, "k_perp": False}
-        adjoint_sum_identity = False
-
-    return ReductionReport(
-        reducing=reducing,
-        invariant_k=inv_k,
-        invariant_k_perp=inv_p,
-        adjoint_reduced=r_adj < cfg.gap_tol,
-        transform_reduced=transform_reduced,
-        parts_split=parts_split,
-        adjoint_distribution=adjoint_distribution,
-        adjoint_sum_identity=adjoint_sum_identity,
-        residuals=residuals,
-    )
+    within_k = adjoint_within(part_k, k, cfg)
+    within_p = adjoint_within(part_p, k_perp, cfg)
+    cert("adjoint_distribution_k", within_k.gap(adj_k))
+    cert("adjoint_distribution_k_perp", within_p.gap(adj_p))
+    cert("adjoint_sum_identity", _sum_gap(adj.graph, within_k.graph, within_p.graph, cfg))
+    return ReductionReport(tuple(certificates))

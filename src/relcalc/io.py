@@ -226,7 +226,6 @@ def _certificate_dicts(certificates) -> list:
 def _flags_dict(report: ClassificationReport) -> dict:
     return {
         "operator": report.is_operator,
-        "bounded": report.is_bounded,
         "contraction": report.is_contraction,
         "isometry": report.is_isometry,
         "unitary": report.is_unitary,
@@ -257,7 +256,6 @@ def classification_document(relation: Relation, cfg: ToleranceConfig = DEFAULT_T
         "residuals": {k: float(v) for k, v in report.residuals.items()},
         "parts": _part_summary(relation, cfg),
         "tolerances": _tolerances_dict(cfg),
-        "seed": None,
     }
 
 
@@ -277,7 +275,6 @@ def decomposition_document(mode: str, relation: Relation, result: DecompositionR
         "certificates": _certificate_dicts(result.certificates),
         "iterations": result.iterations,
         "tolerances": _tolerances_dict(cfg),
-        "seed": None,
     }
     if result.wandering is not None:
         doc["wandering_dim"] = result.wandering.dim
@@ -287,46 +284,13 @@ def decomposition_document(mode: str, relation: Relation, result: DecompositionR
 
 def reduction_document(relation: Relation, space: Subspace, report: ReductionReport,
                        cfg: ToleranceConfig = DEFAULT_TOL) -> dict:
-    def entry(name, passed):
-        return {
-            "name": name,
-            "passed": bool(passed),
-            "residual": float(report.residuals.get(name, 0.0)),
-            "tolerance": cfg.gap_tol,
-        }
-
-    certificates = [entry("reducing", report.reducing)]
-    for label, check in (("k", report.invariant_k), ("k_perp", report.invariant_k_perp)):
-        for cond, value in (
-            ("domain", check.domain_splits),
-            ("multivalued", check.multivalued_splits),
-            ("restriction_domain", check.restriction_domain_matches),
-        ):
-            certificates.append(
-                {
-                    "name": f"invariant_{label}_{cond}",
-                    "passed": bool(value),
-                    "residual": float(check.residuals[cond]),
-                    "tolerance": cfg.gap_tol,
-                }
-            )
-    certificates.append(entry("adjoint_reduced", report.adjoint_reduced))
-    for label, value in report.transform_reduced.items():
-        certificates.append(entry(f"transform_reduced{label}", value))
-    for name, value in report.parts_split.items():
-        certificates.append(entry(f"split_{name}", value))
-    for label, value in report.adjoint_distribution.items():
-        certificates.append(entry(f"adjoint_distribution_{label}", value))
-    certificates.append(entry("adjoint_sum_identity", report.adjoint_sum_identity))
-
     return {
         "kind": "reduction-report",
         "space_dim": relation.n,
         "subspace_dim": space.dim,
         "reducing": report.reducing,
-        "certificates": certificates,
+        "certificates": _certificate_dicts(report.certificates),
         "tolerances": _tolerances_dict(cfg),
-        "seed": None,
     }
 
 
@@ -339,5 +303,4 @@ def example_document(report, cfg: ToleranceConfig = DEFAULT_TOL) -> dict:
         "certificates": _certificate_dicts(report.certificates),
         "info": report.info,
         "tolerances": _tolerances_dict(cfg),
-        "seed": None,
     }

@@ -43,15 +43,12 @@ class SpectralPointClass(enum.Enum):
 
     REGULAR means the shifted relation has a bounded everywhere-defined
     inverse; POINT means a nontrivial eigenspace; RESIDUAL means the
-    inverse is a bounded operator defined on a proper subspace.  The
-    QUASI_REGULAR_ONLY member is reserved for non-closed ranges, which
-    cannot occur in finite dimension; this engine never emits it.
+    inverse is a bounded operator defined on a proper subspace.
     """
 
     REGULAR = "regular"
     POINT = "point"
     RESIDUAL = "residual"
-    QUASI_REGULAR_ONLY = "quasi-regular-only"
 
 
 @dataclass(frozen=True)
@@ -59,15 +56,14 @@ class ClassificationReport:
     """Boolean predicates of a relation plus witnessing data.
 
     Implications baked into the definitions: unitary => isometry =>
-    contraction, selfadjoint => symmetric => dissipative, and in finite
-    dimension bounded <=> operator.  ``witness`` is a graph vector (in the
-    doubled space) violating dissipativity or the contraction inequality
-    when the corresponding flag is false.  ``residuals`` records the
-    numbers each verdict compared against its tolerance.
+    contraction, selfadjoint => symmetric => dissipative; in finite
+    dimension every operator is bounded.  ``witness`` is a graph vector
+    (in the doubled space) violating dissipativity or the contraction
+    inequality when the corresponding flag is false.  ``residuals``
+    records the numbers each verdict compared against its tolerance.
     """
 
     is_operator: bool
-    is_bounded: bool
     is_contraction: bool
     is_isometry: bool
     is_unitary: bool
@@ -185,30 +181,12 @@ class Relation:
         """Relation sum ``{(f, g + h) : (f, g) in self, (f, h) in other}``.
 
         Built in a tripled ambient space by intersecting the two lifted
-        constraint subspaces and projecting out the middle block, which
-        avoids pseudo-inverse noise on multivalued parts.
+        constraint subspaces and mapping each triple (f, g, h) to
+        (f, g + h), which avoids pseudo-inverse noise on multivalued parts.
         """
         self._check_space(other)
         n = self.n
-        eye = np.eye(n, dtype=complex)
-        zero_f = np.zeros((n, self.graph.dim), dtype=complex)
-        zero_g = np.zeros((n, other.graph.dim), dtype=complex)
-        zero_e = np.zeros((n, n), dtype=complex)
-        lift_self = np.vstack(
-            [
-                np.hstack([self.F, zero_e]),
-                np.hstack([self.G, zero_e]),
-                np.hstack([zero_f, eye]),
-            ]
-        )
-        lift_other = np.vstack(
-            [
-                np.hstack([other.F, zero_e]),
-                np.hstack([zero_g, eye]),
-                np.hstack([other.G, zero_e]),
-            ]
-        )
-        triples = Subspace(lift_self).intersect(Subspace(lift_other), cfg)
+        triples = _lift(self, 0, 1).intersect(_lift(other, 0, 2), cfg)
         w = triples.frame
         mapped = np.vstack([w[:n], w[n : 2 * n] + w[2 * n :]])
         return Relation(Subspace.span(mapped, cfg, ambient_dim=2 * n, scale=1.0))
@@ -224,24 +202,7 @@ class Relation:
         """Composition self o other: ``{(f, k) : (f, g) in other, (g, k) in self}``."""
         self._check_space(other)
         n = self.n
-        eye = np.eye(n, dtype=complex)
-        zero_s = np.zeros((n, self.graph.dim), dtype=complex)
-        zero_o = np.zeros((n, other.graph.dim), dtype=complex)
-        lift_other = np.vstack(
-            [
-                np.hstack([other.F, np.zeros((n, n), dtype=complex)]),
-                np.hstack([other.G, np.zeros((n, n), dtype=complex)]),
-                np.hstack([zero_o, eye]),
-            ]
-        )
-        lift_self = np.vstack(
-            [
-                np.hstack([zero_s, eye]),
-                np.hstack([self.F, np.zeros((n, n), dtype=complex)]),
-                np.hstack([self.G, np.zeros((n, n), dtype=complex)]),
-            ]
-        )
-        triples = Subspace(lift_other).intersect(Subspace(lift_self), cfg)
+        triples = _lift(other, 0, 1).intersect(_lift(self, 1, 2), cfg)
         w = triples.frame
         mapped = np.vstack([w[:n], w[2 * n :]])
         return Relation(Subspace.span(mapped, cfg, ambient_dim=2 * n, scale=1.0))
@@ -323,6 +284,18 @@ class Relation:
         return f"Relation(n={self.n}, graph_dim={self.graph.dim})"
 
 
+def _lift(relation: Relation, first: int, second: int) -> Subspace:
+    """The graph placed in blocks ``first`` and ``second`` of the triple
+    space C^n (+) C^n (+) C^n, spanned with the identity on the third block."""
+    n, r = relation.n, relation.graph.dim
+    frame = np.zeros((3 * n, r + n), dtype=complex)
+    frame[first * n : (first + 1) * n, :r] = relation.F
+    frame[second * n : (second + 1) * n, :r] = relation.G
+    third = 3 - first - second
+    frame[third * n : (third + 1) * n, r:] = np.eye(n)
+    return Subspace(frame)
+
+
 def doubled(space: Subspace) -> Subspace:
     """The subspace ``K (+) K`` of the doubled ambient space."""
     d, r = space.frame.shape
@@ -400,7 +373,6 @@ def classify(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> Classifi
 
     return ClassificationReport(
         is_operator=is_operator,
-        is_bounded=is_operator,
         is_contraction=is_contraction,
         is_isometry=is_isometry,
         is_unitary=is_unitary,

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import Certificate, symmetric_wold_decompose
-from .invariance import adjoint_within, orthogonal_relation_sum
+from .decompose import symmetric_wold_decompose
+from .invariance import Certificate, adjoint_within, orthogonal_relation_sum
 from .relation import Relation, classify
 from .subspace import DEFAULT_TOL, Subspace, ToleranceConfig
 from .ztransform import z_transform

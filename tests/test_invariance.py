@@ -20,24 +20,25 @@ import gen
 def test_trivial_subspaces_invariant(rng):
     for _ in range(10):
         t = gen.random_relation(rng, 4)
-        assert is_invariant(t, Subspace.full(4)).ok
-        assert is_invariant(t, Subspace.zero(4)).ok
+        assert is_invariant(t, Subspace.full(4))
+        assert is_invariant(t, Subspace.zero(4))
         assert is_reducing(t, Subspace.full(4))
         assert is_reducing(t, Subspace.zero(4))
 
 
 def test_invariant_diagonal():
     t = Relation.from_operator(np.diag([1.0, 2.0]))
-    assert is_invariant(t, Subspace.from_basis_indices(2, [0])).ok
+    assert is_invariant(t, Subspace.from_basis_indices(2, [0]))
 
 
 def test_invariance_condition_breakdown():
     # nilpotent block: dom of the restricted part is {0}, not dom ^ K
     t = Relation.from_operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    check = is_invariant(t, Subspace.from_basis_indices(2, [1]))
-    assert not check.ok
-    assert check.domain_splits and check.multivalued_splits
-    assert not check.restriction_domain_matches
+    k = Subspace.from_basis_indices(2, [1])
+    assert not is_invariant(t, k)
+    passed = {c.name: c.passed for c in reduction_certificates(t, k).certificates}
+    assert passed["invariant_k_domain"] and passed["invariant_k_multivalued"]
+    assert not passed["invariant_k_restriction_domain"]
 
 
 def test_reducing_block_diagonal(rng):
@@ -58,8 +59,8 @@ def test_not_reducing_jordan_block():
     k = Subspace.from_basis_indices(2, [0])
     assert not is_reducing(t, k)
     # the complement fails invariance, matching the equivalence
-    assert is_invariant(t, k).ok
-    assert not is_invariant(t, k.complement()).ok
+    assert is_invariant(t, k)
+    assert not is_invariant(t, k.complement())
 
 
 def test_adjoint_within_examples(rng):
@@ -93,7 +94,7 @@ def test_reduction_equivalence_both_directions(rng):
         n = 4
         t, k = gen.random_reducing_pair(rng, n)
         assert is_reducing(t, k)
-        assert is_invariant(t, k).ok and is_invariant(t, k.complement()).ok
+        assert is_invariant(t, k) and is_invariant(t, k.complement())
         reducing_seen += 1
 
         t2 = gen.random_relation(rng, n)
@@ -101,7 +102,7 @@ def test_reduction_equivalence_both_directions(rng):
         if is_reducing(t2, k2):
             continue
         nonreducing_seen += 1
-        assert not (is_invariant(t2, k2).ok and is_invariant(t2, k2.complement()).ok)
+        assert not (is_invariant(t2, k2) and is_invariant(t2, k2.complement()))
     assert reducing_seen > 0 and nonreducing_seen > 0
 
 
@@ -110,8 +111,9 @@ def test_reduction_certificates_conjugated(rng):
         t, k = gen.random_reducing_pair(rng, 4)
         report = reduction_certificates(t, k)
         assert report.ok, report.residuals
-        assert report.adjoint_reduced
-        assert report.transform_reduced["+i"] and report.transform_reduced["-i"]
+        passed = {c.name: c.passed for c in report.certificates}
+        assert passed["adjoint_reduced"]
+        assert passed["transform_reduced+i"] and passed["transform_reduced-i"]
 
 
 def test_reduction_certificates_adversarial(rng):

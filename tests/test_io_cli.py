@@ -195,6 +195,41 @@ def test_cli_certify_nonreducing_exits_one(tmp_path, capsys):
     assert doc["reducing"] is False
 
 
+CERTIFY_NAMES = [
+    "reducing",
+    "invariant_k_domain",
+    "invariant_k_multivalued",
+    "invariant_k_restriction_domain",
+    "invariant_k_perp_domain",
+    "invariant_k_perp_multivalued",
+    "invariant_k_perp_restriction_domain",
+    "adjoint_reduced",
+    "transform_reduced+i",
+    "transform_reduced-i",
+    "split_dom",
+    "split_ran",
+    "split_ker",
+    "split_mul",
+    "adjoint_distribution_k",
+    "adjoint_distribution_k_perp",
+    "adjoint_sum_identity",
+]
+
+
+def test_cli_certify_failures_carry_their_residuals(tmp_path, capsys):
+    # nilpotent Jordan block: span{e1} is invariant but does not reduce
+    t = Relation.from_operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    rel_path = _relation_file(tmp_path, t)
+    sub_path = _write(tmp_path, "k.json", emit_subspace(Subspace.from_basis_indices(2, [0])))
+    assert main(["certify", "--subspace", sub_path, rel_path]) == 1
+    certificates = json.loads(capsys.readouterr().out)["certificates"]
+    assert [c["name"] for c in certificates] == CERTIFY_NAMES
+    failed = [c for c in certificates if not c["passed"]]
+    assert failed
+    for cert in failed:
+        assert cert["residual"] >= cert["tolerance"], cert
+
+
 def test_cli_example(tmp_path, capsys):
     report_path = tmp_path / "shift.json"
     code = main(["example", "shift", "--n", "64", "--margin", "4",
@@ -242,4 +277,4 @@ def test_cli_reports_deterministic(tmp_path, capsys, rng):
     main(["decompose", "--mode", "dissipative", path])
     second = capsys.readouterr().out
     assert first == second
-    assert json.loads(first)["seed"] is None
+    assert "seed" not in json.loads(first)

@@ -282,7 +282,6 @@ def test_classify_implications(rng):
             assert rep.is_symmetric
         if rep.is_symmetric:
             assert rep.is_dissipative
-        assert rep.is_bounded == rep.is_operator
 
 
 def test_classify_witness(rng):
