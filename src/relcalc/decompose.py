@@ -29,7 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariance import Certificate, _split, adjoint_within, compress
-from .relation import Relation, classify, operator_matrix
+from .relation import (
+    Relation,
+    _contraction_form,
+    _dissipation_form,
+    _is_symmetric,
+    _max_abs_eig,
+    _min_eig,
+    _shifted_range,
+    operator_matrix,
+)
 from .subspace import (
     DEFAULT_TOL,
     Subspace,
@@ -88,7 +97,7 @@ def maximalize_contraction(relation: Relation,
     containing the input; it equals the input when the domain is already
     the whole space.
     """
-    if not classify(relation, cfg).is_contraction:
+    if _min_eig(_contraction_form(relation)[0]) < -cfg.psd_tol:
         raise ValueError("relation is not a contraction")
     pad = relation.dom(cfg).complement(cfg)
     if pad.dim == 0:
@@ -141,9 +150,14 @@ def _unitary_part_is_trivial(relation: Relation, cfg: ToleranceConfig) -> float:
     return float(_unitary_part(relation, cfg)[0].dim)
 
 
-def _classify_within(relation: Relation, space: Subspace, cfg: ToleranceConfig):
-    """Classify a restricted part in the coordinates of its own subspace."""
-    return classify(compress(relation, space, cfg), cfg)
+def _unitary_within(relation: Relation, space: Subspace, cfg: ToleranceConfig):
+    """Whether a restricted part is unitary in the coordinates of its own
+    subspace (an isometry with full domain and range), and its isometry
+    deviation."""
+    part = compress(relation, space, cfg)
+    iso_dev = _max_abs_eig(_contraction_form(part)[0])
+    full = part.dom(cfg).dim == part.n and part.ran(cfg).dim == part.n
+    return iso_dev <= cfg.psd_tol and full, iso_dev
 
 
 def _selfadjoint_within_gap(relation: Relation, space: Subspace,
@@ -159,15 +173,14 @@ def nfl_decompose(relation: Relation,
     k, iterations = _unitary_part(relation, cfg)
     k_perp = k.complement(cfg)
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
-    within = _classify_within(part_k, k, cfg)
+    k_unitary, iso_dev = _unitary_within(part_k, k, cfg)
     cnu_dim = _unitary_part_is_trivial(compress(part_p, k_perp, cfg), cfg)
     # The padding never meets K, so the unitary part sits inside dom V.
     r_dom = 0.0 if relation.dom(cfg).contains(k, cfg) else 1.0
 
     certificates = (
         Certificate("reducing", r_red < cfg.gap_tol, r_red, cfg.gap_tol),
-        Certificate("part_k_unitary", within.is_unitary,
-                    within.residuals["isometry_deviation"], cfg.psd_tol),
+        Certificate("part_k_unitary", k_unitary, iso_dev, cfg.psd_tol),
         Certificate("part_k_perp_completely_nonunitary", cnu_dim == 0.0, cnu_dim, 0.0),
         Certificate("k_inside_domain", r_dom == 0.0, r_dom, cfg.gap_tol),
     )
@@ -183,8 +196,8 @@ def wold_decompose(relation: Relation,
     equal the orthogonal sum of the spaces V^m L.  In finite dimension the
     result is always K = C^n and L = {0}.
     """
-    rep = classify(relation, cfg)
-    if not rep.is_isometry or relation.dom(cfg).dim != relation.n:
+    if (_max_abs_eig(_contraction_form(relation)[0]) > cfg.psd_tol
+            or relation.dom(cfg).dim != relation.n):
         raise ValueError("relation is not an everywhere-defined isometry")
     matrix = operator_matrix(relation, cfg)
     n = relation.n
@@ -224,14 +237,13 @@ def wold_decompose(relation: Relation,
 
     k_perp = k.complement(cfg)
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
-    within = _classify_within(part_k, k, cfg)
+    k_unitary, iso_dev = _unitary_within(part_k, k, cfg)
     r_wand = k_perp.gap(acc)
     deg = float(n - k.dim) + float(wandering.dim)
 
     certificates = (
         Certificate("reducing", r_red < cfg.gap_tol, r_red, cfg.gap_tol),
-        Certificate("part_k_unitary", within.is_unitary,
-                    within.residuals["isometry_deviation"], cfg.psd_tol),
+        Certificate("part_k_unitary", k_unitary, iso_dev, cfg.psd_tol),
         Certificate("complement_is_wandering_sum", r_wand < cfg.gap_tol, r_wand, cfg.gap_tol),
         Certificate("wandering_images_orthogonal", ortho_residual < cfg.gap_tol,
                     ortho_residual, cfg.gap_tol),
@@ -250,7 +262,7 @@ def dissipative_decompose(relation: Relation,
     is an operator: a multivalued part of a closed dissipative relation can
     only live inside the selfadjoint part.
     """
-    if not classify(relation, cfg).is_dissipative:
+    if _min_eig(_dissipation_form(relation)[0]) < -cfg.psd_tol:
         raise ValueError("relation is not dissipative")
     k, iterations = _unitary_part(z_transform(relation, 1j, cfg), cfg)
     k_perp = k.complement(cfg)
@@ -291,10 +303,9 @@ def symmetric_wold_decompose(relation: Relation,
     orthogonalized images of the new ones.  ``iterations`` counts the same
     steps as the one-step chain K_j + image(K_j), stalled step included.
     """
-    rep = classify(relation, cfg)
-    if not rep.is_symmetric:
+    if not _is_symmetric(relation, cfg):
         raise ValueError("relation is not symmetric")
-    if require_maximal and not rep.is_maximal_dissipative:
+    if require_maximal and _shifted_range(relation, cfg).dim != relation.n:
         raise ValueError("relation is not maximal (the range of T + iI is a proper subspace)")
 
     transform = z_transform(relation, 1j, cfg)
@@ -325,23 +336,20 @@ def symmetric_wold_decompose(relation: Relation,
     k_perp = k.complement(cfg)
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     r_sa = _selfadjoint_within_gap(part_p, k_perp, cfg)
-    within = _classify_within(part_k, k, cfg) if k.dim > 0 else None
-    shift = z_transform(compress(part_k, k, cfg), 1j, cfg) if k.dim > 0 else None
-
-    if shift is not None:
-        iso_dev = classify(shift, cfg).residuals["isometry_deviation"]
+    if k.dim > 0:
+        within = compress(part_k, k, cfg)
+        sym_dev = _max_abs_eig(_dissipation_form(within)[0])
+        shift = z_transform(within, 1j, cfg)
+        iso_dev = _max_abs_eig(_contraction_form(shift)[0])
         dom_codim = float(k.dim - shift.dom(cfg).dim)
         unit_dim = _unitary_part_is_trivial(shift, cfg)
-        symmetric_ok = within.is_symmetric
-        sym_dev = within.residuals["symmetry_deviation"]
     else:
         iso_dev = dom_codim = unit_dim = sym_dev = 0.0
-        symmetric_ok = True
 
     certificates = (
         Certificate("reducing", r_red < cfg.gap_tol, r_red, cfg.gap_tol),
         Certificate("part_k_perp_selfadjoint", r_sa < cfg.gap_tol, r_sa, cfg.gap_tol),
-        Certificate("part_k_symmetric", symmetric_ok, sym_dev, cfg.psd_tol),
+        Certificate("part_k_symmetric", sym_dev <= cfg.psd_tol, sym_dev, cfg.psd_tol),
         Certificate("transform_isometry_on_k", iso_dev <= cfg.psd_tol, iso_dev, cfg.psd_tol),
         Certificate("transform_domain_full", dom_codim == 0.0, dom_codim, 0.0),
         Certificate("transform_no_unitary_part", unit_dim == 0.0, unit_dim, 0.0),
@@ -357,8 +365,7 @@ def von_neumann_check(relation: Relation,
     deficiency spaces of the adjoint at +-i, with matching dimension count;
     when the relation is maximal the summand at -i is orthogonal to it.
     """
-    rep = classify(relation, cfg)
-    if not rep.is_symmetric:
+    if not _is_symmetric(relation, cfg):
         raise ValueError("relation is not symmetric")
     adj = relation.adjoint(cfg)
     def_plus = adj.deficiency(1j, cfg)
@@ -367,6 +374,6 @@ def von_neumann_check(relation: Relation,
     dims_ok = total.dim == relation.graph.dim + def_plus.graph.dim + def_minus.graph.dim
     sum_ok = total.gap(adj.graph) < cfg.gap_tol
     ortho_ok = True
-    if rep.is_maximal_dissipative:
+    if _shifted_range(relation, cfg).dim == relation.n:
         ortho_ok = relation.graph.is_orthogonal_to(def_minus.graph, cfg)
     return dims_ok and sum_ok and ortho_ok

@@ -317,6 +317,44 @@ def operator_matrix(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> n
     return np.linalg.solve(relation.F.T, relation.G.T).T
 
 
+def _form_eigh(form: np.ndarray):
+    if form.shape[0] > 0:
+        return np.linalg.eigh(form)
+    return np.zeros(0), np.zeros((0, 0))
+
+
+def _dissipation_form(relation: Relation):
+    """Eigenvalues and eigenvectors of the dissipation form (F*G - G*F)/2i."""
+    f, g = relation.F, relation.G
+    return _form_eigh((f.conj().T @ g - g.conj().T @ f) / 2j)
+
+
+def _contraction_form(relation: Relation):
+    """Eigenvalues and eigenvectors of the contraction form F*F - G*G."""
+    f, g = relation.F, relation.G
+    return _form_eigh(f.conj().T @ f - g.conj().T @ g)
+
+
+def _min_eig(w: np.ndarray) -> float:
+    """Smallest form eigenvalue; 0 for the empty form."""
+    return float(w.min()) if w.size else 0.0
+
+
+def _max_abs_eig(w: np.ndarray) -> float:
+    """Largest form eigenvalue in modulus; 0 for the empty form."""
+    return float(np.abs(w).max()) if w.size else 0.0
+
+
+def _is_symmetric(relation: Relation, cfg: ToleranceConfig) -> bool:
+    """Whether the dissipation form vanishes to within ``psd_tol``."""
+    return _max_abs_eig(_dissipation_form(relation)[0]) <= cfg.psd_tol
+
+
+def _shifted_range(relation: Relation, cfg: ToleranceConfig) -> Subspace:
+    """ran(T + iI); for dissipative T it is C^n exactly when T is maximal."""
+    return Subspace.span(relation.G + 1j * relation.F, cfg, ambient_dim=relation.n, scale=1.0)
+
+
 def classify(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport:
     """Classification predicates evaluated on the graph frame.
 
@@ -327,24 +365,11 @@ def classify(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> Classifi
     contraction (resp. isometry) inequality.  Maximality of a dissipative
     relation is the range criterion ran(T + iI) = C^n.
     """
-    f, g = relation.F, relation.G
     n = relation.n
-
-    diss_form = (f.conj().T @ g - g.conj().T @ f) / 2j
-    if diss_form.shape[0] > 0:
-        w, vecs = np.linalg.eigh(diss_form)
-    else:
-        w, vecs = np.zeros(0), np.zeros((0, 0))
-    diss_min = float(w.min()) if w.size else 0.0
-    sym_dev = float(np.abs(w).max()) if w.size else 0.0
-
-    gram_form = f.conj().T @ f - g.conj().T @ g
-    if gram_form.shape[0] > 0:
-        w2, vecs2 = np.linalg.eigh(gram_form)
-    else:
-        w2, vecs2 = np.zeros(0), np.zeros((0, 0))
-    contr_min = float(w2.min()) if w2.size else 0.0
-    iso_dev = float(np.abs(w2).max()) if w2.size else 0.0
+    w, vecs = _dissipation_form(relation)
+    diss_min, sym_dev = _min_eig(w), _max_abs_eig(w)
+    w2, vecs2 = _contraction_form(relation)
+    contr_min, iso_dev = _min_eig(w2), _max_abs_eig(w2)
 
     is_dissipative = diss_min >= -cfg.psd_tol
     is_symmetric = sym_dev <= cfg.psd_tol
@@ -362,7 +387,7 @@ def classify(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> Classifi
 
     # For dissipative T the map (f, g) -> g + i f is isometric-or-expanding
     # on the graph, so the range dimension equals the graph dimension.
-    ran_shift = Subspace.span(g + 1j * f, cfg, ambient_dim=n, scale=1.0)
+    ran_shift = _shifted_range(relation, cfg)
     is_maximal_dissipative = is_dissipative and ran_shift.dim == n
 
     witness = None

@@ -27,7 +27,7 @@ import numpy as np
 
 from .decompose import symmetric_wold_decompose
 from .invariance import Certificate, adjoint_within, orthogonal_relation_sum
-from .relation import Relation, classify
+from .relation import Relation, _is_symmetric
 from .subspace import DEFAULT_TOL, Subspace, ToleranceConfig
 from .ztransform import z_transform
 
@@ -196,12 +196,18 @@ class SpectralProbe:
 def spectral_window_probe(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralProbe:
     op = build_elementary_symmetric(w)
     adj = op.adjoint(cfg)
+    return _window_probe(w, op, adj, adj.deficiency(-1j, cfg).dom(cfg), cfg)
+
+
+def _window_probe(w: WindowConfig, op: Relation, adj: Relation, minus_i_kernel: Subspace,
+                  cfg: ToleranceConfig) -> SpectralProbe:
+    """The probe of the symmetric operator ``op``, given its adjoint and
+    the adjoint's kernel at -i."""
     samples = [1j, -1j, 0.0, 1.0, 1.0 + 1j]
     kernel_dims = {}
     for zeta in samples:
         kernel_dims[str(complex(zeta))] = op.deficiency(zeta, cfg).dom(cfg).dim
 
-    minus_i_kernel = adj.deficiency(-1j, cfg).dom(cfg)
     probe = delta_span(w, [1])
     residual = float(
         np.linalg.norm(probe.frame - minus_i_kernel.projector() @ probe.frame, 2)
@@ -246,9 +252,12 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
     """
     shift = build_shift(w)
     op = build_elementary_symmetric(w)
-    restricted = build_restricted_symmetric(w, cfg)
+    tail = delta_span(w, range(2, w.n + 1))
+    # The same relations as build_restricted_symmetric and
+    # build_multivalued_extension, built once from op.
+    restricted = op.restrict_domain(tail, cfg)
     line = build_multivalued_line(w)
-    extension = build_multivalued_extension(w, cfg)
+    extension = orthogonal_relation_sum(restricted, line, cfg)
     certificates = []
 
     def cert(name, residual, tolerance):
@@ -276,15 +285,10 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
         1e-10,
     )
 
-    tail = delta_span(w, range(2, w.n + 1))
+    restricted_plus = orthogonal_relation_sum(restricted, pair_line(2), cfg)
     cert(
         "adjoint_identity_restricted",
-        window_gap(
-            adjoint_within(restricted, tail, cfg),
-            orthogonal_relation_sum(restricted, pair_line(2), cfg),
-            w,
-            cfg,
-        ),
+        window_gap(adjoint_within(restricted, tail, cfg), restricted_plus, w, cfg),
         1e-10,
     )
 
@@ -292,9 +296,7 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
         "adjoint_identity_extension",
         window_gap(
             extension.adjoint(cfg),
-            orthogonal_relation_sum(
-                orthogonal_relation_sum(restricted, pair_line(2), cfg), line, cfg
-            ),
+            orthogonal_relation_sum(restricted_plus, line, cfg),
             w,
             cfg,
         ),
@@ -346,19 +348,18 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
         cfg.gap_tol,
     )
 
-    probe = spectral_window_probe(w, cfg)
+    probe = _window_probe(w, op, adj_op, deficiency_dir, cfg)
     cert("probe_no_eigenvalues", float(sum(probe.eigenvalue_free.values())), 1.0)
     cert("probe_deficiency_direction", probe.deficiency_residual, 1e-12)
 
-    rep_op = classify(op, cfg)
-    rep_ext = classify(extension, cfg)
+    ext_mul = extension.mul(cfg)
     model_ok = (
-        rep_op.is_symmetric
-        and rep_op.is_operator
+        _is_symmetric(op, cfg)
+        and op.mul(cfg).dim == 0
         and op.dom(cfg).dim < w.n
-        and rep_ext.is_symmetric
-        and not rep_ext.is_operator
-        and extension.mul(cfg).gap(delta_span(w, [1])) < cfg.gap_tol
+        and _is_symmetric(extension, cfg)
+        and ext_mul.dim > 0
+        and ext_mul.gap(delta_span(w, [1])) < cfg.gap_tol
         and tail.contains(restricted.ran(cfg), cfg)
     )
     certificates.append(Certificate("model_classification", model_ok, 0.0 if model_ok else 1.0, 1.0))

@@ -50,7 +50,7 @@ def test_maximalize_pads_with_zero():
 
 
 def test_maximalize_rejects_noncontraction():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="relation is not a contraction"):
         maximalize_contraction(Relation.from_operator(2.0 * np.eye(2)))
 
 
@@ -174,8 +174,10 @@ def test_nfl_unitary_conjugation_covariance(rng):
 
 
 def test_nfl_rejects_noncontraction():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="relation is not a contraction"):
         nfl_decompose(Relation.from_operator(3.0 * np.eye(2)))
+    with pytest.raises(ValueError, match="relation is not a contraction"):
+        unitary_part_subspace(Relation.from_operator(3.0 * np.eye(2)))
 
 
 # -- isometry splitting ---------------------------------------------------
@@ -209,9 +211,9 @@ def test_wold_full_domain_isometry_is_unitary(rng):
 
 def test_wold_rejects_partial_domain():
     pairs = [(np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not an everywhere-defined isometry"):
         wold_decompose(Relation.from_pairs(pairs))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not an everywhere-defined isometry"):
         wold_decompose(Relation.from_operator(0.5 * np.eye(2)))
 
 
@@ -272,7 +274,7 @@ def test_dissipative_random_inputs(rng):
 
 
 def test_dissipative_rejects_nondissipative():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not dissipative"):
         dissipative_decompose(Relation.from_operator(np.array([[-1j]])))
 
 
@@ -299,13 +301,13 @@ def test_symmetric_wold_multivalued_line():
 
 
 def test_symmetric_wold_preconditions(rng):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not symmetric"):
         symmetric_wold_decompose(Relation.from_operator(1j * np.eye(2)))
     # symmetric but not maximal: a proper restriction of a Hermitian operator
     a = Relation.from_operator(np.diag([1.0, 2.0])).restrict_domain(
         Subspace.from_basis_indices(2, [0])
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not maximal"):
         symmetric_wold_decompose(a)
     # opting out of the maximality check runs the same iteration; K picks
     # up the deficiency direction and the selfadjoint part is the rest,
@@ -391,5 +393,5 @@ def test_von_neumann_random_symmetric(rng):
 
 
 def test_von_neumann_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not symmetric"):
         von_neumann_check(Relation.from_operator(1j * np.eye(2)))

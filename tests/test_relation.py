@@ -10,6 +10,14 @@ from relcalc import (
     classify_point,
     operator_matrix,
 )
+from relcalc.relation import (
+    _contraction_form,
+    _dissipation_form,
+    _is_symmetric,
+    _max_abs_eig,
+    _min_eig,
+    _shifted_range,
+)
 
 import gen
 
@@ -290,6 +298,37 @@ def test_classify_witness(rng):
     assert not rep.is_dissipative
     f, g = rep.witness[:1], rep.witness[1:]
     assert (f.conj() @ g).imag < 0
+
+
+def _form_readings(t):
+    diss, _ = _dissipation_form(t)
+    contr, _ = _contraction_form(t)
+    return {
+        "dissipation_min_eig": _min_eig(diss),
+        "symmetry_deviation": _max_abs_eig(diss),
+        "contraction_min_eig": _min_eig(contr),
+        "isometry_deviation": _max_abs_eig(contr),
+    }
+
+
+def test_form_readers_match_classify_bit_for_bit(rng):
+    # The engines read single verdicts from the forms; they must agree
+    # exactly with the full report, on every graph dimension.
+    cases = []
+    for n in (1, 3, 4):
+        cases += [gen.random_relation(rng, n, d) for d in range(2 * n + 1)]
+        cases += [gen.random_dissipative(rng, n), gen.random_symmetric(rng, n),
+                  gen.random_contraction_relation(rng, n), gen.random_isometry_relation(rng, n)]
+    cases.append(gen.random_shift_symmetric(rng, [2], 1)[0])
+    assert {t.graph.dim for t in cases} >= set(range(9))
+    for t in cases:
+        rep = classify(t)
+        readings = _form_readings(t)
+        assert readings == {key: rep.residuals[key] for key in readings}
+        assert _is_symmetric(t, CFG) == rep.is_symmetric
+        assert float(t.n - _shifted_range(t, CFG).dim) == rep.residuals["shifted_range_codim"]
+    empty = _form_readings(Relation.zero(3))
+    assert empty == dict.fromkeys(empty, 0.0)
 
 
 def test_selfadjoint_examples(rng):

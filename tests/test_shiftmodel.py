@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from relcalc import (
+    Relation,
     Subspace,
     WindowConfig,
     build_elementary_symmetric,
@@ -21,6 +24,7 @@ from relcalc import (
     window_span,
     z_transform,
 )
+from relcalc import shiftmodel
 
 W16 = WindowConfig(n=16, margin=4)
 
@@ -205,3 +209,48 @@ def test_pipeline_report():
     assert "transform_matches_shift" in names
     assert "splitting_k_window" in names
     assert report.info["wandering_dim"] == 1
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_shift_example_work(monkeypatch):
+    # The example and the splitting read their verdicts from the Hermitian
+    # forms, not from full reports, and build each relation and adjoint
+    # once; the probe inside the example is the public one.
+    counts = {"classify": 0, "adjoint": 0}
+    for module in [m for name, m in sys.modules.items()
+                   if name == "relcalc" or name.startswith("relcalc.")]:
+        if getattr(module, "classify", None) is classify:
+            _count_calls(monkeypatch, module, "classify", counts)
+    _count_calls(monkeypatch, Relation, "adjoint", counts)
+    probes = []
+    window_probe = shiftmodel._window_probe
+
+    def recorded_probe(*args):
+        probes.append(window_probe(*args))
+        return probes[-1]
+
+    monkeypatch.setattr(shiftmodel, "_window_probe", recorded_probe)
+
+    report = run_shift_example(W16)
+    assert report.passed
+    assert counts["classify"] == 0
+    assert counts["adjoint"] <= 7
+
+    # The public probe goes through the same helper and agrees exactly.
+    expected = spectral_window_probe(W16)
+    assert probes == [expected, expected]
+    residuals = {c.name: c.residual for c in report.certificates}
+    assert residuals["probe_deficiency_direction"] == expected.deficiency_residual
+    assert report.info["adjoint_kernel_dims"] == expected.adjoint_kernel_dims
+
+    symmetric_wold_decompose(build_multivalued_extension(W16), require_maximal=False)
+    assert counts["classify"] == 0
