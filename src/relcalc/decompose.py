@@ -65,10 +65,10 @@ class DecompositionResult:
     """A reducing subspace, both restricted parts and their certificates.
 
     ``wandering`` carries the wandering space for the isometry/symmetric
-    engines.  ``iterations`` counts the steps of the defining subspace
-    growth, the step that adds nothing included: hull steps of the
-    unitary part for the contraction and dissipative engines, image-chain
-    steps for the symmetric one and range-chain steps for the isometry.
+    engines.  ``iterations`` counts the rounds of the invariant hull that
+    defines K (see ``_invariant_hull``) for the contraction, dissipative and
+    symmetric engines, and the range-chain steps, stalled step included,
+    for the isometry.
     """
 
     k: Subspace
@@ -106,35 +106,50 @@ def maximalize_contraction(relation: Relation,
     return Relation(relation.graph.sum(Subspace(w_frame), cfg))
 
 
+def _invariant_hull(frame: np.ndarray, images_of, cfg: ToleranceConfig):
+    """Frame of the smallest subspace that contains ``frame`` and the images
+    ``images_of(frame, added)`` of each round's new columns, and the rounds.
+
+    Images are orthogonalized twice against the frame and cut at ``rank_tol``
+    on an absolute scale (frames and their images are O(1)).  The seed is
+    not counted; every mapping round is, and so is the round that ends the
+    growth, because it adds nothing or because the frame fills the space
+    (closed under every map, so that round is counted without being computed).
+    """
+    added = frame
+    rounds = 0
+    while True:
+        rounds += 1
+        if frame.shape[1] >= frame.shape[0]:
+            return frame, rounds
+        images = images_of(frame, added)
+        for _pass in range(2):  # Gram-Schmidt twice is enough against the frame
+            images = images - frame @ (frame.conj().T @ images)
+        added = _orthonormal_columns(images, cfg.rank_tol, scale=1.0)
+        if added.shape[1] == 0:
+            return frame, rounds
+        frame = np.hstack([frame, added])
+
+
 def _unitary_part(relation: Relation, cfg: ToleranceConfig):
     """Largest reducing subspace on which a closed contraction is unitary,
-    and the number of hull steps that found it.
+    and the number of hull rounds that found it.
 
     The contraction is padded to an everywhere-defined matrix V first.
     K-perp is the smallest subspace invariant under V and V^H that contains
     ran D + ran D*, with D = I - V^H V and D* = I - V V^H (Van Dooren 1981,
-    Paige 1981).  The hull's frame starts from one SVD of [D, D*]; each
-    step maps only the columns added by the previous one, orthogonalizes
-    them twice against the frame and keeps what survives the cut.  The
-    seed is step 1, and a step that adds nothing is counted and ends the
-    growth, as does a frame that fills the space.  Frames and defects are
-    O(1) by construction, hence the absolute cut.
+    Paige 1981): the invariant hull of one SVD of [D, D*] under both maps.
     """
     matrix = operator_matrix(maximalize_contraction(relation, cfg), cfg)
-    n = matrix.shape[0]
     matrix_h = matrix.conj().T
-    eye = np.eye(n)
+    eye = np.eye(matrix.shape[0])
     defects = np.hstack([eye - matrix_h @ matrix, eye - matrix @ matrix_h])
-    frame = added = _orthonormal_columns(defects, cfg.rank_tol, scale=1.0)
-    steps = 1
-    while added.shape[1] and frame.shape[1] < n:
-        images = np.hstack([matrix @ added, matrix_h @ added])
-        for _pass in range(2):  # Gram-Schmidt twice is enough against the frame
-            images = images - frame @ (frame.conj().T @ images)
-        added = _orthonormal_columns(images, cfg.rank_tol, scale=1.0)
-        frame = np.hstack([frame, added])
-        steps += 1
-    return Subspace(frame).complement(cfg), steps
+    frame, rounds = _invariant_hull(
+        _orthonormal_columns(defects, cfg.rank_tol, scale=1.0),
+        lambda frame, added: np.hstack([matrix @ added, matrix_h @ added]),
+        cfg,
+    )
+    return Subspace(frame).complement(cfg), rounds
 
 
 def unitary_part_subspace(relation: Relation,
@@ -142,12 +157,6 @@ def unitary_part_subspace(relation: Relation,
     """Unitary-part subspace of a closed contraction (padded by zero
     outside its domain, as in ``nfl_decompose``)."""
     return _unitary_part(relation, cfg)[0]
-
-
-def _unitary_part_is_trivial(relation: Relation, cfg: ToleranceConfig) -> float:
-    """Dimension of the unitary part of a contraction after padding;
-    zero certifies complete nonunitarity."""
-    return float(_unitary_part(relation, cfg)[0].dim)
 
 
 def _unitary_within(relation: Relation, space: Subspace, cfg: ToleranceConfig):
@@ -174,7 +183,7 @@ def nfl_decompose(relation: Relation,
     k_perp = k.complement(cfg)
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     k_unitary, iso_dev = _unitary_within(part_k, k, cfg)
-    cnu_dim = _unitary_part_is_trivial(compress(part_p, k_perp, cfg), cfg)
+    cnu_dim = float(_unitary_part(compress(part_p, k_perp, cfg), cfg)[0].dim)
     # The padding never meets K, so the unitary part sits inside dom V.
     r_dom = 0.0 if relation.dom(cfg).contains(k, cfg) else 1.0
 
@@ -194,7 +203,10 @@ def wold_decompose(relation: Relation,
     K is the stabilized intersection of the ranges of V^m and the wandering
     space L is the orthogonal complement of ran V; the complement of K must
     equal the orthogonal sum of the spaces V^m L.  In finite dimension the
-    result is always K = C^n and L = {0}.
+    result is always K = C^n and L = {0}.  The sum is the invariant hull of
+    L under V; ``wandering_images_orthogonal`` is the largest
+    ``||frame^H V added||_2`` over its rounds, so an image inside a sum that
+    already fills the space is not measured.
     """
     if (_max_abs_eig(_contraction_form(relation)[0]) > cfg.psd_tol
             or relation.dom(cfg).dim != relation.n):
@@ -202,38 +214,31 @@ def wold_decompose(relation: Relation,
     matrix = operator_matrix(relation, cfg)
     n = relation.n
 
-    # ran V^{m+1} is contained in ran V^m, so the chain needs no intersections.
+    # ran V^{m+1} is contained in ran V^m, so the chain needs no
+    # intersections, and its dimension falls until the step that stalls.
     k = Subspace.full(n)
     iterations = 0
-    for _ in range(2 * n + 1):
+    while True:
         new = Subspace.span(matrix @ k.frame, cfg, ambient_dim=n, scale=1.0)
         iterations += 1
         if new.dim == k.dim:
             break
         k = new
-    else:
-        raise ArithmeticError("range-chain iteration failed to stabilize")
 
     wandering = Subspace.span(matrix, cfg, ambient_dim=n, scale=1.0).complement(cfg)
 
-    # Orthogonal sum of the iterated images of the wandering space.
-    acc = wandering
-    img = wandering
+    # Orthogonal sum of the iterated images of the wandering space; each
+    # round's images are measured against the sum before they join it.
     ortho_residual = 0.0
-    for _ in range(n + 1):
-        nxt = Subspace.span(matrix @ img.frame, cfg, ambient_dim=n, scale=1.0)
-        if nxt.dim == 0:
-            break
-        if acc.dim > 0 and nxt.dim > 0:
-            ortho_residual = max(
-                ortho_residual,
-                float(np.linalg.norm(acc.frame.conj().T @ nxt.frame, 2)),
-            )
-        grown = acc.sum(nxt, cfg)
-        if grown.dim == acc.dim:
-            break
-        acc = grown
-        img = nxt
+
+    def images_of(frame, added):
+        nonlocal ortho_residual
+        images = matrix @ added
+        if frame.size and images.size:
+            ortho_residual = max(ortho_residual, float(np.linalg.norm(frame.conj().T @ images, 2)))
+        return images
+
+    acc = Subspace(_invariant_hull(wandering.frame, images_of, cfg)[0])
 
     k_perp = k.complement(cfg)
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
@@ -269,9 +274,7 @@ def dissipative_decompose(relation: Relation,
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     r_sa = _selfadjoint_within_gap(part_k, k, cfg)
     mul_dim = float(part_p.mul(cfg).dim)
-    cns_dim = _unitary_part_is_trivial(
-        z_transform(compress(part_p, k_perp, cfg), 1j, cfg), cfg
-    )
+    cns_dim = float(_unitary_part(z_transform(compress(part_p, k_perp, cfg), 1j, cfg), cfg)[0].dim)
 
     certificates = (
         Certificate("reducing", r_red < cfg.gap_tol, r_red, cfg.gap_tol),
@@ -295,13 +298,12 @@ def symmetric_wold_decompose(relation: Relation,
     sequence-space models are not maximal at the truncation edge, and pass
     ``require_maximal=False`` to run the same iteration anyway.
 
-    The image chain K_0 = L, K_{j+1} = K_j + V K_j runs incrementally.
-    With the transform's graph frame [F; G], the coefficients mapped into
-    K_j form C_j = {c : Fc in K_j}; then C_j grows with j and G C_j lies in
-    K_{j+1}.  So each step looks for new coefficients only in the
-    complement of those already found, and appends to K only the
-    orthogonalized images of the new ones.  ``iterations`` counts the same
-    steps as the one-step chain K_j + image(K_j), stalled step included.
+    The image chain K_0 = L, K_{j+1} = K_j + V K_j is the invariant hull
+    of L.  With the transform's graph frame [F; G], the coefficients mapped
+    into K_j form C_j = {c : Fc in K_j}; then C_j grows with j and G C_j
+    lies in K_{j+1}.  So each round maps only coefficients in the complement
+    of those already found, which the map keeps between rounds.
+    ``iterations`` counts the steps of the one-step chain K_j + image(K_j).
     """
     if not _is_symmetric(relation, cfg):
         raise ValueError("relation is not symmetric")
@@ -312,25 +314,19 @@ def symmetric_wold_decompose(relation: Relation,
     wandering = relation.adjoint(cfg).deficiency(-1j, cfg).dom(cfg)
 
     f, g = transform.F, transform.G
-    frame = wandering.frame
     # Orthonormal basis of the complement of the coefficients found so far.
     unfound = np.eye(g.shape[1], dtype=complex)
-    iterations = 0
-    for _ in range(2 * relation.n + 2):
+
+    def images_of(frame, added):
+        nonlocal unfound
         off = f @ unfound
         off = off - frame @ (frame.conj().T @ off)
         rest, found = _row_space_and_kernel(off, cfg.rank_tol, scale=1.0)
         images = g @ (unfound @ found)
         unfound = unfound @ rest
-        for _pass in range(2):  # Gram-Schmidt twice is enough against K
-            images = images - frame @ (frame.conj().T @ images)
-        grown = _orthonormal_columns(images, cfg.rank_tol, scale=1.0)
-        iterations += 1
-        if grown.shape[1] == 0:
-            break
-        frame = np.hstack([frame, grown])
-    else:
-        raise ArithmeticError("image-chain iteration failed to stabilize")
+        return images
+
+    frame, iterations = _invariant_hull(wandering.frame, images_of, cfg)
     k = Subspace(frame)
 
     k_perp = k.complement(cfg)
@@ -342,7 +338,7 @@ def symmetric_wold_decompose(relation: Relation,
         shift = z_transform(within, 1j, cfg)
         iso_dev = _max_abs_eig(_contraction_form(shift)[0])
         dom_codim = float(k.dim - shift.dom(cfg).dim)
-        unit_dim = _unitary_part_is_trivial(shift, cfg)
+        unit_dim = float(_unitary_part(shift, cfg)[0].dim)
     else:
         iso_dev = dom_codim = unit_dim = sym_dev = 0.0
 

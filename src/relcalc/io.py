@@ -11,6 +11,7 @@ the graph up to frame equivalence.  Malformed documents raise
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import chain
 
@@ -114,8 +115,9 @@ def _decode_tolerances(doc: dict) -> ToleranceConfig | None:
     for key in ("rank_tol", "psd_tol", "gap_tol"):
         if key in raw:
             value = raw[key]
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
-                raise DocumentError(f"tolerances.{key}: expected a nonnegative number")
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not 0 <= value <= sys.float_info.max):
+                raise DocumentError(f"tolerances.{key}: expected a finite nonnegative number")
             kwargs[key] = float(value)
     unknown = set(raw) - {"rank_tol", "psd_tol", "gap_tol"}
     if unknown:

@@ -344,7 +344,7 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
     cert("splitting_complement_part_is_line", result.part_k_perp.gap(line), cfg.gap_tol)
     cert(
         "splitting_complement_part_selfadjoint",
-        result.part_k_perp.gap(adjoint_within(result.part_k_perp, delta_span(w, [1]), cfg)),
+        result.certificate("part_k_perp_selfadjoint").residual,
         cfg.gap_tol,
     )
 

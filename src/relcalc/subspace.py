@@ -45,8 +45,8 @@ class ToleranceConfig:
 
     def __post_init__(self) -> None:
         for name in ("rank_tol", "psd_tol", "gap_tol"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -5,6 +5,7 @@ from relcalc import (
     DEFAULT_TOL,
     Relation,
     Subspace,
+    ToleranceConfig,
     WindowConfig,
     build_multivalued_extension,
     classify,
@@ -21,7 +22,7 @@ from relcalc import (
 )
 
 import gen
-from reference import defect_kernel_unitary_part
+from reference import defect_kernel_unitary_part, one_step_unitary_hull
 
 
 # -- maximalization -----------------------------------------------------
@@ -117,6 +118,62 @@ def test_unitary_part_hull_near_circle_matches_reference(rng, delta):
         v = Relation.from_operator(q @ np.diag([1 - delta, 0.5, np.exp(1j)]) @ q.conj().T)
         k, ref = _hull_and_reference(v)
         assert k.dim == ref.dim
+
+
+def _conjugated_blocks(rng, first, second):
+    """Q diag(first, second) Q* for a random unitary Q."""
+    k, n = first.shape[0], first.shape[0] + second.shape[0]
+    blk = np.zeros((n, n), dtype=complex)
+    blk[:k, :k] = first
+    blk[k:, k:] = second
+    q = gen.random_unitary(rng, n)
+    return q @ blk @ q.conj().T
+
+
+def _hull_cases(rng, kind):
+    """(contraction, dissipative operator) pairs of one kind: unitary /
+    selfadjoint, completely nonunitary / nonselfadjoint, or both blocks.
+    The truncated shift and the rank-one imaginary part make the hull grow
+    over several rounds."""
+    for _ in range(4):
+        k, m = (int(d) for d in rng.integers(1, 5, size=2))
+        k, m = {"unitary": (k + m, 0), "filling": (0, k + m), "mixed": (k, m)}[kind]
+        dissipation = 1j * np.diag(np.arange(m) == m - 1)
+        yield (
+            _conjugated_blocks(rng, gen.random_unitary(rng, k), np.eye(m, k=-1)),
+            _conjugated_blocks(rng, gen.hermitian(rng, k), gen.hermitian(rng, m) + dissipation),
+        )
+
+
+@pytest.mark.parametrize("kind", ["unitary", "filling", "mixed"])
+def test_hull_iterations_match_one_step_reference(rng, kind):
+    # iterations: the seed span[D, D*] is not counted, every mapping round
+    # is, and so is the round that adds nothing or finds the space full
+    for contraction, dissipative in _hull_cases(rng, kind):
+        v = Relation.from_operator(contraction)
+        a = Relation.from_operator(dissipative)
+        for result, transform in ((nfl_decompose(v), v),
+                                  (dissipative_decompose(a), z_transform(a, 1j))):
+            n = result.k.ambient_dim
+            matrix = operator_matrix(maximalize_contraction(transform))
+            k_perp, steps = one_step_unitary_hull(matrix)
+            assert result.iterations == steps
+            assert result.k.complement().gap(k_perp) < 1e-8
+            assert result.passed
+            if kind == "unitary":
+                assert result.k.dim == n and steps == 1
+            elif kind == "filling":
+                assert result.k.dim == 0
+            else:
+                assert 0 < result.k.dim < n
+
+
+def test_nfl_hull_without_rank_cut_returns(rng):
+    # With rank_tol = 0 every rounding residue is a new direction; the hull
+    # still ends, at the frame that fills the space.
+    v, _ = gen.block_contraction(rng, 3, 3)
+    result = nfl_decompose(v, ToleranceConfig(rank_tol=0.0))
+    assert result.k.ambient_dim == 6
 
 
 # -- contraction splitting ----------------------------------------------
@@ -215,6 +272,33 @@ def test_wold_rejects_partial_domain():
         wold_decompose(Relation.from_pairs(pairs))
     with pytest.raises(ValueError, match="not an everywhere-defined isometry"):
         wold_decompose(Relation.from_operator(0.5 * np.eye(2)))
+
+
+# A loose psd_tol lets contractions that are not isometries through the
+# precondition; it is the only way to reach a nonzero wandering space.
+LOOSE = ToleranceConfig(psd_tol=1.0)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_wold_nilpotent_shift_wandering_sum(n):
+    # ran V^m shrinks to {0}; the images of L = span{e1} are e2, ..., en
+    result = wold_decompose(Relation.from_operator(np.eye(n, k=-1)), LOOSE)
+    assert result.k.dim == 0
+    assert result.wandering.gap(Subspace.from_basis_indices(n, [0])) < 1e-12
+    for name in ("complement_is_wandering_sum", "wandering_images_orthogonal"):
+        assert result.certificate(name).passed
+        assert result.certificate(name).residual == 0.0
+
+
+def test_wold_wandering_images_not_orthogonal():
+    # L = span{e1} maps to e2, and e2 to (e2 + e3)/sqrt 2, which leans on
+    # the sum span{e1, e2} at 45 degrees; the full sum is not mapped again
+    s = 1 / np.sqrt(2)
+    m = np.array([[0, 0, 0], [1, s, 0], [0, s, 0]])
+    cert = wold_decompose(Relation.from_operator(m), LOOSE).certificate(
+        "wandering_images_orthogonal")
+    assert not cert.passed
+    assert abs(cert.residual - s) < 1e-12
 
 
 # -- dissipative splitting ------------------------------------------------

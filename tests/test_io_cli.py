@@ -263,6 +263,19 @@ def test_cli_integer_beyond_float_range_exits_two(tmp_path, capsys, entry):
     assert "F[0][0]: entry beyond float range" in capsys.readouterr().err
 
 
+# json.dumps writes, and json.loads reads, the NaN and Infinity literals; a
+# tolerance that compares false, or passes every residual, must not get in.
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("key", ["rank_tol", "psd_tol", "gap_tol"])
+@pytest.mark.parametrize("command", [["classify"], ["decompose", "--mode", "nfl"]])
+def test_cli_non_finite_tolerance_exits_two(tmp_path, capsys, command, key, bad):
+    doc = json.loads(emit_relation(Relation.from_operator(np.diag([0.5, 0.25, 0.0]))))
+    doc["tolerances"] = {key: bad}
+    assert main([*command, _write(tmp_path, "tol.json", json.dumps(doc))]) == 2
+    err = capsys.readouterr().err
+    assert f"tolerances.{key}: expected a finite nonnegative number" in err
+
+
 def test_cli_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -243,7 +243,7 @@ def test_shift_example_work(monkeypatch):
     report = run_shift_example(W16)
     assert report.passed
     assert counts["classify"] == 0
-    assert counts["adjoint"] <= 7
+    assert counts["adjoint"] <= 6
 
     # The public probe goes through the same helper and agrees exactly.
     expected = spectral_window_probe(W16)

@@ -75,6 +75,14 @@ def test_non_finite_frame_rejected(bad):
         Subspace(frame)
 
 
+@pytest.mark.parametrize("field", ["rank_tol", "psd_tol", "gap_tol"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_tolerances_must_be_finite_and_nonnegative(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
+        ToleranceConfig(**{field: bad})
+    assert getattr(ToleranceConfig(**{field: 0.0}), field) == 0.0
+
+
 def test_intersect_examples():
     e1 = Subspace.from_basis_indices(2, [0])
     diag = orthonormalize([np.array([1.0, 1.0])])
