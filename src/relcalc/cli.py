@@ -8,6 +8,7 @@ Subcommands: ``classify``, ``ztransform``, ``decompose``, ``certify`` and
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from pathlib import Path
@@ -85,9 +86,12 @@ def _load_relation(path: str):
 def _parse_zeta(text: str) -> complex:
     try:
         re_part, im_part = text.split(",")
-        return complex(float(re_part), float(im_part))
+        zeta = complex(float(re_part), float(im_part))
     except ValueError as exc:
         raise relio.DocumentError(f"--zeta: expected RE,IM, got {text!r}") from exc
+    if not cmath.isfinite(zeta):
+        raise relio.DocumentError(f"--zeta: must be finite, got {text!r}")
+    return zeta
 
 
 def _emit(document: dict, path: str | None) -> None:

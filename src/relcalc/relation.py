@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .subspace import DEFAULT_TOL, Subspace, ToleranceConfig, _kernel
+from .subspace import DEFAULT_TOL, Subspace, ToleranceConfig, _complement_frame, _kernel, _rank
 
 __all__ = [
     "Relation",
@@ -194,7 +194,7 @@ class Relation:
     def scale(self, zeta: complex, cfg: ToleranceConfig = DEFAULT_TOL) -> "Relation":
         """Relation ``{(f, zeta * g)}``.  For zeta = 0 the graph collapses
         to ``dom x {0}``, not to the zero relation."""
-        zc = complex(zeta)
+        zc = _finite_zeta(zeta)
         mapped = np.vstack([self.F, zc * self.G])
         return Relation(Subspace.span(mapped, cfg, ambient_dim=2 * self.n, scale=1.0))
 
@@ -216,11 +216,11 @@ class Relation:
         """Adjoint relation: the orthogonal complement of -(inverse graph).
 
         Equivalently the pairs (h, k) with <k, f> = <h, g> for every graph
-        pair (f, g).
+        pair (f, g).  The flipped frame is orthonormal, so no tolerance is
+        read; ``cfg`` is accepted for a uniform signature.
         """
         flipped = np.vstack([self.G, -self.F])  # stays orthonormal
-        frame = _kernel(flipped.conj().T, cfg.rank_tol, scale=1.0)
-        return Relation(Subspace(frame))
+        return Relation(Subspace(_complement_frame(flipped)))
 
     def restrict(self, space: Subspace, cfg: ToleranceConfig = DEFAULT_TOL) -> "Relation":
         """Intersection with ``space (+) space`` (the restricted part)."""
@@ -240,12 +240,31 @@ class Relation:
 
     def deficiency(self, zeta: complex, cfg: ToleranceConfig = DEFAULT_TOL) -> "Relation":
         """The pairs (f, zeta*f) inside the relation; its domain is
-        ker(T - zeta*I)."""
-        n = self.n
-        zc = complex(zeta)
-        line = np.vstack([np.eye(n, dtype=complex), zc * np.eye(n, dtype=complex)])
-        line /= np.sqrt(1.0 + abs(zc) ** 2)
-        return Relation(self.graph.intersect(Subspace(line), cfg))
+        ker(T - zeta*I).
+
+        For graph coefficients c the sine of the angle between (Fc, Gc) and
+        the line {(f, zeta*f)} is |(G - zeta*F) c| / sqrt(1 + |zeta|^2), so
+        the kernel of that matrix at the cut sqrt(2) * rank_tol gives the
+        same directions as ``graph.intersect(line)``.  One refinement step
+        removes what rounding left of the kept singular directions from the
+        kernel, and each direction is returned halfway between the graph
+        and the line, as ``intersect`` does.
+        """
+        zc = _finite_zeta(zeta)
+        if self.graph.dim == 0:
+            return Relation.zero(self.n)
+        norm2 = 1.0 + abs(zc) ** 2
+        f, g = self.F, self.G
+        shifted = (g - zc * f) / np.sqrt(norm2)
+        u, s, vh = np.linalg.svd(shifted, full_matrices=self.n < self.graph.dim)
+        r = _rank(s, np.sqrt(2) * cfg.rank_tol, scale=1.0)
+        v = vh.conj().T
+        kept, coeffs = v[:, :r], v[:, r:]
+        # Subtract the pseudo-inverse image of the kernel's rounding residual.
+        coeffs = coeffs - kept @ ((u[:, :r].conj().T @ (shifted @ coeffs)) / s[:r, None])
+        top, bot = f @ coeffs, g @ coeffs
+        foot = (top + np.conj(zc) * bot) / norm2  # the line's point nearest (top, bot)
+        return Relation(Subspace(np.vstack([top + foot, bot + zc * foot]) / 2))
 
     def image(self, space: Subspace, cfg: ToleranceConfig = DEFAULT_TOL) -> Subspace:
         """Image ``{g : (f, g) in T, f in space}`` of a subspace.
@@ -294,6 +313,14 @@ def _lift(relation: Relation, first: int, second: int) -> Subspace:
     third = 3 - first - second
     frame[third * n : (third + 1) * n, r:] = np.eye(n)
     return Subspace(frame)
+
+
+def _finite_zeta(zeta) -> complex:
+    """``zeta`` as a complex number, rejected unless finite."""
+    zc = complex(zeta)
+    if not np.isfinite(zc):
+        raise ValueError("zeta must be finite")
+    return zc
 
 
 def doubled(space: Subspace) -> Subspace:
@@ -425,7 +452,7 @@ def classify_point(relation: Relation, zeta: complex,
     ran(T - zeta*I) is the whole space, else RESIDUAL.  Ranges are closed
     in finite dimension, so no continuous spectrum can occur.
     """
-    if relation.deficiency(zeta, cfg).dom(cfg).dim > 0:
+    if relation.deficiency(zeta, cfg).dom(cfg).dim > 0:  # rejects a non-finite zeta
         return SpectralPointClass.POINT
     zc = complex(zeta)
     shifted = relation.G - zc * relation.F

@@ -28,7 +28,7 @@ import numpy as np
 from .decompose import symmetric_wold_decompose
 from .invariance import Certificate, adjoint_within, orthogonal_relation_sum
 from .relation import Relation, _is_symmetric
-from .subspace import DEFAULT_TOL, Subspace, ToleranceConfig
+from .subspace import DEFAULT_TOL, Subspace, ToleranceConfig, _residual
 from .ztransform import z_transform
 
 __all__ = [
@@ -209,10 +209,7 @@ def _window_probe(w: WindowConfig, op: Relation, adj: Relation, minus_i_kernel: 
         kernel_dims[str(complex(zeta))] = op.deficiency(zeta, cfg).dom(cfg).dim
 
     probe = delta_span(w, [1])
-    residual = float(
-        np.linalg.norm(probe.frame - minus_i_kernel.projector() @ probe.frame, 2)
-    )
-    contained = minus_i_kernel.contains(probe, cfg)
+    residual = float(np.linalg.norm(_residual(minus_i_kernel.frame, probe.frame), 2))
 
     lower_samples = [-1j, -2j, 1.0 - 1j, -0.5 - 0.5j]
     adjoint_dims = {}
@@ -221,7 +218,7 @@ def _window_probe(w: WindowConfig, op: Relation, adj: Relation, minus_i_kernel: 
 
     return SpectralProbe(
         eigenvalue_free=kernel_dims,
-        deficiency_direction=contained,
+        deficiency_direction=residual < cfg.gap_tol,
         deficiency_residual=residual,
         adjoint_kernel_dims=adjoint_dims,
     )

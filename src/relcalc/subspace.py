@@ -115,6 +115,19 @@ def _kernel(mat: np.ndarray, rank_tol: float, scale=None) -> np.ndarray:
     return _row_space_and_kernel(mat, rank_tol, scale)[1]
 
 
+def _residual(frame: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``(I - P) vectors`` for the projector P onto an orthonormal frame."""
+    return vectors - frame @ (frame.conj().T @ vectors)
+
+
+def _complement_frame(frame: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of the span of an
+    orthonormal frame: the trailing columns of its complete Householder QR.
+    An orthonormal frame has full column rank, so no tolerance is read."""
+    q, _ = np.linalg.qr(frame, mode="complete")
+    return np.ascontiguousarray(q[:, frame.shape[1]:])
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A linear subspace of C^d, held as an orthonormal frame of shape (d, r).
@@ -214,14 +227,27 @@ class Subspace:
         return Subspace((a @ coeffs + b @ (cosines @ coeffs)) / 2)
 
     def sum(self, other: "Subspace", cfg: ToleranceConfig = DEFAULT_TOL) -> "Subspace":
-        """Smallest subspace containing both."""
+        """Smallest subspace containing both.
+
+        With A the larger frame and B the other, the left singular vectors
+        of (I - P_A) B whose sines exceed sqrt(2) * rank_tol are added to A,
+        orthogonalized against A once more.  The stacked frame [A B] has
+        sqrt(2) sin(theta / 2) there, so the cut keeps its rank_tol boundary
+        to O(theta^2), as in ``intersect``.
+        """
         self._check_ambient(other)
-        joint = np.hstack([self.frame, other.frame])
-        return Subspace(_orthonormal_columns(joint, cfg.rank_tol, scale=1.0))
+        large, small = (self, other) if self.dim >= other.dim else (other, self)
+        a, b = large.frame, small.frame
+        added = _orthonormal_columns(_residual(a, b), np.sqrt(2) * cfg.rank_tol, scale=1.0)
+        return Subspace(np.hstack([a, _residual(a, added)]))
 
     def complement(self, cfg: ToleranceConfig = DEFAULT_TOL) -> "Subspace":
-        """Orthogonal complement within the ambient space."""
-        return Subspace(_kernel(self.frame.conj().T, cfg.rank_tol, scale=1.0))
+        """Orthogonal complement within the ambient space.
+
+        The frame is already orthonormal, so no tolerance is read; ``cfg``
+        is accepted for a uniform signature.
+        """
+        return Subspace(_complement_frame(self.frame))
 
     def project(self, vector) -> np.ndarray:
         """Orthogonal projection of a vector onto this subspace."""
@@ -231,21 +257,26 @@ class Subspace:
         return self.frame @ (self.frame.conj().T @ v)
 
     def gap(self, other: "Subspace") -> float:
-        """Operator-norm distance of the orthogonal projectors."""
+        """Operator-norm distance of the orthogonal projectors.
+
+        It is max(||(I - P_B) A||, ||(I - P_A) B||) for frames A and B
+        (Kato), and the side with A the larger frame attains it: for equal
+        dimensions both sides are the sine of the largest principal angle,
+        and otherwise that side is 1.  Identical frames give exactly 0.
+        """
         self._check_ambient(other)
-        if self.ambient_dim == 0:
+        if np.array_equal(self.frame, other.frame):
             return 0.0
-        # The difference is Hermitian, so its 2-norm is its spectral radius.
-        diff = self.projector() - other.projector()
-        return float(np.max(np.abs(np.linalg.eigvalsh(diff))))
+        large, small = (self, other) if self.dim >= other.dim else (other, self)
+        residual = _residual(small.frame, large.frame)
+        return float(np.linalg.svd(residual, compute_uv=False)[0])
 
     def contains(self, other: "Subspace", cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
         """Whether ``other`` is contained in this subspace (up to gap_tol)."""
         self._check_ambient(other)
         if other.dim == 0:
             return True
-        residual = other.frame - self.frame @ (self.frame.conj().T @ other.frame)
-        return float(np.linalg.norm(residual, 2)) < cfg.gap_tol
+        return float(np.linalg.norm(_residual(self.frame, other.frame), 2)) < cfg.gap_tol
 
     def is_orthogonal_to(self, other: "Subspace", cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
         self._check_ambient(other)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .relation import Relation, doubled
+from .relation import Relation, _finite_zeta, doubled
 from .subspace import DEFAULT_TOL, Subspace, ToleranceConfig
 
 __all__ = ["z_transform", "z_properties_check", "subspace_fixed_point_check", "ZPropertyReport"]
@@ -27,7 +27,7 @@ def z_transform(relation: Relation, zeta: complex,
     The result satisfies dom = ran(T - conj(zeta) I), ran = ran(T - zeta I),
     mul = ker(T - conj(zeta) I) and ker = ker(T - zeta I).
     """
-    zc = complex(zeta)
+    zc = _finite_zeta(zeta)
     f, g = relation.F, relation.G
     top = g - np.conj(zc) * f
     bot = np.conj(zc) * g - (abs(zc) ** 2) * f

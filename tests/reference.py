@@ -1,18 +1,44 @@
-"""Dense reference versions of three kernels, kept to check the thin ones.
+"""Dense reference versions of relcalc kernels, kept to check the thin ones.
 
 ``stacked_intersect`` is the intersection as the kernel of the stacked
 projector complements [I - P_A; I - P_B] (a 2d x d SVD), and
 ``defect_kernel_unitary_part`` the unitary part of a matrix contraction as
 the stabilized intersection of the kernels of D V^m and D* (V^H)^m.
 ``one_step_unitary_hull`` grows K-perp as K-perp + V K-perp + V* K-perp
-with ``Subspace.sum``, mapping the whole subspace every step.  All cut at
-``rank_tol`` on an absolute scale.
+with ``Subspace.sum``, mapping the whole subspace every step.
+``projector_gap`` is the spectral radius of the d x d projector difference,
+``stacked_sum`` the leading left singular vectors of [A B],
+``svd_complement`` the kernel of A^H from a wide SVD, and
+``line_deficiency`` the intersection of the graph with the 2n x n line
+frame {(f, zeta f)}.  All cut at ``rank_tol`` on an absolute scale.
 """
 
 import numpy as np
 
-from relcalc import DEFAULT_TOL, Subspace
-from relcalc.subspace import _kernel
+from relcalc import DEFAULT_TOL, Relation, Subspace
+from relcalc.subspace import _kernel, _orthonormal_columns
+
+
+def projector_gap(a, b):
+    if a.ambient_dim == 0:
+        return 0.0
+    return float(np.max(np.abs(np.linalg.eigvalsh(a.projector() - b.projector()))))
+
+
+def stacked_sum(a, b, cfg=DEFAULT_TOL):
+    joint = np.hstack([a.frame, b.frame])
+    return Subspace(_orthonormal_columns(joint, cfg.rank_tol, scale=1.0))
+
+
+def svd_complement(a, cfg=DEFAULT_TOL):
+    return Subspace(_kernel(a.frame.conj().T, cfg.rank_tol, scale=1.0))
+
+
+def line_deficiency(relation, zeta, cfg=DEFAULT_TOL):
+    n = relation.n
+    line = np.vstack([np.eye(n, dtype=complex), zeta * np.eye(n, dtype=complex)])
+    line /= np.sqrt(1.0 + abs(zeta) ** 2)
+    return Relation(relation.graph.intersect(Subspace(line), cfg))
 
 
 def stacked_intersect(a, b, cfg=DEFAULT_TOL):

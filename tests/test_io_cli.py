@@ -263,6 +263,14 @@ def test_cli_integer_beyond_float_range_exits_two(tmp_path, capsys, entry):
     assert "F[0][0]: entry beyond float range" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("zeta", ["nan,0", "inf,0", "1e400,0", "0,-inf"])
+def test_cli_non_finite_zeta_exits_two(tmp_path, capsys, zeta):
+    path = _relation_file(tmp_path, Relation.identity(2))
+    assert main(["ztransform", "--zeta", zeta, path]) == 2
+    assert f"--zeta: must be finite, got {zeta!r}" in capsys.readouterr().err
+
+
 # json.dumps writes, and json.loads reads, the NaN and Infinity literals; a
 # tolerance that compares false, or passes every residual, must not get in.
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -20,8 +20,10 @@ from relcalc.relation import (
 )
 
 import gen
+from reference import line_deficiency
 
 CFG = ToleranceConfig()
+DEFICIENCY_POINTS = [1j, -1j, 2j, 0.0, 1.0, 1.0 + 1j]
 
 
 def _pair_relation(pairs, n=None):
@@ -246,6 +248,65 @@ def test_deficiency_eigen_oracle():
     assert d.dom().gap(Subspace.from_basis_indices(2, [0])) < 1e-12
     # point not in the spectrum
     assert t.deficiency(5.0).graph.dim == 0
+
+
+def _relation_with_eigenpairs(rng, n, graph_dim, zeta):
+    """A random graph of dimension ``graph_dim`` holding a random number of
+    pairs (f, zeta f)."""
+    lines = int(rng.integers(0, min(graph_dim, n) + 1))
+    f = gen.complex_matrix(rng, n, lines)
+    planted = np.vstack([f, zeta * f])
+    rest = gen.complex_matrix(rng, 2 * n, graph_dim - lines)
+    return Relation(Subspace.span(np.hstack([planted, rest]), ambient_dim=2 * n))
+
+
+@pytest.mark.parametrize("zeta", DEFICIENCY_POINTS)
+def test_deficiency_matches_line_reference(rng, zeta):
+    # graph dimension below, at and above n, with and without planted pairs
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        for graph_dim in (int(rng.integers(0, n)), n, int(rng.integers(n, 2 * n + 1))):
+            for t in (gen.random_relation(rng, n, graph_dim),
+                      _relation_with_eigenpairs(rng, n, graph_dim, zeta)):
+                ref = line_deficiency(t, zeta)
+                got = t.deficiency(zeta)
+                assert got.graph.dim == ref.graph.dim
+                assert got.gap(ref) < 1e-12
+    for t in (Relation.zero(3), Relation(Subspace.full(6)), Relation.zero(0)):
+        assert t.deficiency(zeta).graph.dim == line_deficiency(t, zeta).graph.dim
+
+
+@pytest.mark.parametrize("theta", [0.5e-10, 0.9e-10, 1.2e-10, 1.35e-10, 1.5e-10, 3e-10])
+@pytest.mark.parametrize("zeta", [1j, 2j, 0.0, 1.0 + 1j])
+def test_deficiency_planted_angle(rng, theta, zeta):
+    # one graph vector at the angle theta from the line {(f, zeta f)}, the
+    # others orthogonal to it: the direction is kept exactly when
+    # sin(theta) <= sqrt(2) * rank_tol
+    expected = 1 if np.sin(theta) <= np.sqrt(2) * CFG.rank_tol else 0
+    norm = np.sqrt(1 + abs(zeta) ** 2)
+    for _ in range(10):
+        n = int(rng.integers(2, 7))
+        u, v = gen.random_unitary(rng, n), gen.random_unitary(rng, n)
+        on_line = np.vstack([u, zeta * u]) / norm
+        off_line = np.vstack([-np.conj(zeta) * v, v]) / norm
+        tilted = np.cos(theta) * on_line[:, 0] + np.sin(theta) * off_line[:, 0]
+        extra = off_line[:, 1:int(rng.integers(1, n + 1))]
+        t = Relation(Subspace.span(np.column_stack([tilted, extra]), ambient_dim=2 * n))
+        ref = line_deficiency(t, zeta)
+        got = t.deficiency(zeta)
+        assert got.graph.dim == ref.graph.dim == expected
+        if expected:
+            assert got.dom().gap(Subspace.span(u[:, :1], ambient_dim=n)) < 1e-9
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("zeta", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, float("1e400"))])
+def test_non_finite_zeta_rejected(rng, zeta):
+    t = gen.random_relation(rng, 3)
+    for call in (lambda: t.deficiency(zeta), lambda: t.scale(zeta),
+                 lambda: classify_point(t, zeta)):
+        with pytest.raises(ValueError, match="zeta must be finite"):
+            call()
 
 
 def test_image(rng):

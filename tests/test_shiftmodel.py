@@ -224,13 +224,16 @@ def _count_calls(monkeypatch, owner, name, counts):
 def test_shift_example_work(monkeypatch):
     # The example and the splitting read their verdicts from the Hermitian
     # forms, not from full reports, and build each relation and adjoint
-    # once; the probe inside the example is the public one.
-    counts = {"classify": 0, "adjoint": 0}
+    # once; the probe inside the example is the public one.  No step forms
+    # an N x N projector or takes the spectrum of one.
+    counts = {"classify": 0, "adjoint": 0, "projector": 0, "eigvalsh": 0}
     for module in [m for name, m in sys.modules.items()
                    if name == "relcalc" or name.startswith("relcalc.")]:
         if getattr(module, "classify", None) is classify:
             _count_calls(monkeypatch, module, "classify", counts)
     _count_calls(monkeypatch, Relation, "adjoint", counts)
+    _count_calls(monkeypatch, Subspace, "projector", counts)
+    _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
     probes = []
     window_probe = shiftmodel._window_probe
 
@@ -244,6 +247,8 @@ def test_shift_example_work(monkeypatch):
     assert report.passed
     assert counts["classify"] == 0
     assert counts["adjoint"] <= 6
+    assert counts["projector"] == 0
+    assert counts["eigvalsh"] == 0
 
     # The public probe goes through the same helper and agrees exactly.
     expected = spectral_window_probe(W16)

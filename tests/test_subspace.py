@@ -13,9 +13,10 @@ from relcalc import Subspace, ToleranceConfig, orthonormalize
 from relcalc.subspace import _orthonormal_columns
 
 import gen
-from reference import stacked_intersect
+from reference import projector_gap, stacked_intersect, stacked_sum, svd_complement
 
 CFG = ToleranceConfig()
+PLANTED_ANGLES = [0.5e-10, 0.9e-10, 1.2e-10, 1.35e-10, 1.5e-10, 3e-10]
 
 
 def test_standard_basis_spans_full_space():
@@ -102,41 +103,106 @@ def test_intersection_contained_in_both(rng):
         assert a.contains(inter) and b.contains(inter)
 
 
-def test_intersect_matches_stacked_projector_reference(rng):
-    for _ in range(200):
+def _reference_pairs(rng, count):
+    """Random pairs in d <= 12, half sharing a planted subspace, then the
+    zero, full and ambient-0 cases."""
+    pairs = []
+    for _ in range(count):
         d = int(rng.integers(1, 13))
         a = gen.random_subspace(rng, d)
-        # half of the pairs share a planted subspace of a as well
         shared = gen._sub_subspace(rng, a, int(rng.integers(0, a.dim + 1)))
         b = gen.random_subspace(rng, d) if rng.uniform() < 0.5 else shared.sum(
             gen.random_subspace(rng, d, int(rng.integers(0, d - shared.dim + 1))))
-        for x, y in ((a, b), (b, a)):
-            ref = stacked_intersect(x, y)
-            got = x.intersect(y)
-            assert got.dim == ref.dim
-            assert got.gap(ref) < 1e-12
+        pairs.append((a, b))
+    for d in (1, 5, 12):
+        a = gen.random_subspace(rng, d, int(rng.integers(1, d + 1)))
+        for other in (Subspace.zero(d), Subspace.full(d)):
+            pairs += [(a, other), (other, other)]
+        pairs.append((Subspace.zero(d), Subspace.full(d)))
+    pairs.append((Subspace.zero(0), Subspace.zero(0)))
+    return [p for a, b in pairs for p in ((a, b), (b, a))]
 
 
-@pytest.mark.parametrize("theta", [0.5e-10, 0.9e-10, 1.2e-10, 1.35e-10, 1.5e-10, 3e-10])
+def test_intersect_matches_stacked_projector_reference(rng):
+    for x, y in _reference_pairs(rng, 200):
+        ref = stacked_intersect(x, y)
+        got = x.intersect(y)
+        assert got.dim == ref.dim
+        assert got.gap(ref) < 1e-12
+
+
+def _planted_angle_pair(rng, theta):
+    """Subspaces a and b in d = 3..12 with one principal angle theta, between
+    u in a and v in b, and all other directions mutually orthogonal."""
+    d = int(rng.integers(3, 13))
+    q = gen.random_unitary(rng, d)
+    u, w = q[:, 0], q[:, 1]
+    v = np.cos(theta) * u + np.sin(theta) * w
+    extra_a = int(rng.integers(0, (d - 2) // 2 + 1))
+    extra_b = int(rng.integers(0, d - 2 - extra_a + 1))
+    a = Subspace.span(np.column_stack([u, q[:, 2:2 + extra_a]]), ambient_dim=d)
+    rest = q[:, 2 + extra_a:2 + extra_a + extra_b]
+    b = Subspace.span(np.column_stack([v, rest]), ambient_dim=d)
+    return a, b
+
+
+@pytest.mark.parametrize("theta", PLANTED_ANGLES)
 def test_intersect_planted_angle_matches_reference(rng, theta):
-    # one principal angle theta between u and v, all others O(1); the
-    # cut keeps the pair exactly when sin(theta) <= sqrt(2) * rank_tol
+    # the cut keeps the pair exactly when sin(theta) <= sqrt(2) * rank_tol
     expected = 1 if np.sin(theta) <= np.sqrt(2) * CFG.rank_tol else 0
     for _ in range(20):
-        d = int(rng.integers(3, 13))
-        q = gen.random_unitary(rng, d)
-        u, w = q[:, 0], q[:, 1]
-        v = np.cos(theta) * u + np.sin(theta) * w
-        extra_a = int(rng.integers(0, (d - 2) // 2 + 1))
-        extra_b = int(rng.integers(0, d - 2 - extra_a + 1))
-        a = Subspace.span(np.column_stack([u, q[:, 2:2 + extra_a]]), ambient_dim=d)
-        rest = q[:, 2 + extra_a:2 + extra_a + extra_b]
-        b = Subspace.span(np.column_stack([v, rest]), ambient_dim=d)
+        a, b = _planted_angle_pair(rng, theta)
         for x, y in ((a, b), (b, a)):
             ref = stacked_intersect(x, y)
             got = x.intersect(y)
             assert got.dim == ref.dim == expected
             assert got.gap(ref) < 1e-12
+
+
+def test_gap_matches_projector_reference(rng):
+    for x, y in _reference_pairs(rng, 200):
+        assert abs(x.gap(y) - projector_gap(x, y)) < 1e-14
+        assert x.gap(Subspace(x.frame)) == 0.0
+
+
+def test_sum_matches_stacked_reference(rng):
+    for x, y in _reference_pairs(rng, 200):
+        ref = stacked_sum(x, y)
+        got = x.sum(y)
+        assert got.dim == ref.dim
+        assert got.gap(ref) < 1e-12
+
+
+def test_complement_matches_svd_reference(rng):
+    for x, _ in _reference_pairs(rng, 100):
+        ref = svd_complement(x)
+        got = x.complement()
+        assert got.dim == ref.dim == x.ambient_dim - x.dim
+        assert got.gap(ref) < 1e-12
+        assert np.linalg.norm(x.frame.conj().T @ got.frame) < 1e-14 * max(1, x.ambient_dim)
+
+
+def test_complement_reads_no_tolerance():
+    # An orthonormal frame has full column rank, whatever rank_tol says.
+    loose = ToleranceConfig(rank_tol=2.0)
+    e1 = Subspace.from_basis_indices(3, [0])
+    assert e1.complement(loose).gap(Subspace.from_basis_indices(3, [1, 2])) < 1e-15
+
+
+@pytest.mark.parametrize("theta", PLANTED_ANGLES)
+def test_sum_planted_angle_matches_reference(rng, theta):
+    # the sum keeps v's direction exactly when sin(theta) > sqrt(2) *
+    # rank_tol.  Which direction stands for the merged pair, and the kept
+    # difference direction (rounding / sin(theta)), are not determined to
+    # 1e-12, so only dimensions and containment are compared.
+    merged = 1 if np.sin(theta) <= np.sqrt(2) * CFG.rank_tol else 0
+    for _ in range(20):
+        a, b = _planted_angle_pair(rng, theta)
+        for x, y in ((a, b), (b, a)):
+            ref = stacked_sum(x, y)
+            got = x.sum(y)
+            assert got.dim == ref.dim == a.dim + b.dim - merged
+            assert got.contains(x) and got.contains(y)
 
 
 def test_sum_rank_oracle():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from relcalc import (
     Relation,
@@ -148,3 +149,10 @@ def test_subspace_fixed_point():
     assert subspace_fixed_point_check(k, 1 + 2j)
     # for real zeta the doubled subspace is not preserved
     assert not subspace_fixed_point_check(Subspace.from_basis_indices(2, [0]), 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("zeta", [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)])
+def test_non_finite_zeta_rejected(rng, zeta):
+    with pytest.raises(ValueError, match="zeta must be finite"):
+        z_transform(gen.random_relation(rng, 3), zeta)
