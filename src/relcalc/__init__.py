@@ -8,7 +8,7 @@ selfadjoint/completely-nonselfadjoint, elementary-maximal/selfadjoint)
 together with a truncated sequence-space shift model.
 """
 
-from .subspace import DEFAULT_TOL, Subspace, ToleranceConfig, orthonormalize
+from .subspace import DEFAULT_TOL, Certificate, Subspace, ToleranceConfig, orthonormalize
 from .relation import (
     ClassificationReport,
     GraphParts,
@@ -21,7 +21,6 @@ from .relation import (
 )
 from .ztransform import ZPropertyReport, subspace_fixed_point_check, z_properties_check, z_transform
 from .invariance import (
-    Certificate,
     ReductionReport,
     adjoint_within,
     compress,

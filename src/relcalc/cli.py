@@ -44,22 +44,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a relation document")
     p.add_argument("file", help="relation document (JSON)")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
+    p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("ztransform", help="apply the Z transform to a relation")
     p.add_argument("file", help="relation document (JSON)")
     p.add_argument("--zeta", default="0,1", metavar="RE,IM",
                    help="transform point (default: 0,1 i.e. zeta = i)")
     p.add_argument("-o", "--output", help="write the transformed relation here")
+    p.set_defaults(run=_cmd_ztransform)
 
     p = sub.add_parser("decompose", help="run a canonical decomposition")
     p.add_argument("file", help="relation document (JSON)")
     p.add_argument("--mode", choices=sorted(_MODES), required=True)
     p.add_argument("--report", help="write the report document here")
+    p.set_defaults(run=_cmd_decompose)
 
     p = sub.add_parser("certify", help="check invariance/reduction certificates")
     p.add_argument("file", help="relation document (JSON)")
     p.add_argument("--subspace", required=True, help="subspace document (JSON)")
     p.add_argument("--report", help="write the report document here")
+    p.set_defaults(run=_cmd_certify)
 
     p = sub.add_parser("example", help="built-in models")
     example_sub = p.add_subparsers(dest="model", required=True)
@@ -67,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, default=64, help="truncation dimension (default 64)")
     q.add_argument("--margin", type=int, default=4, help="excluded edge indices (default 4)")
     q.add_argument("--report", help="write the report document here")
+    q.set_defaults(run=_cmd_example)
 
     return parser
 
@@ -188,20 +193,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "ztransform":
-            return _cmd_ztransform(args)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "example":
-            return _cmd_example(args)
+        return args.run(args)
     except relio.DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 def entrypoint() -> None:

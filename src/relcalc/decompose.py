@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariance import Certificate, _split, adjoint_within, compress
+from .invariance import _split, adjoint_within, compress
 from .relation import (
     Relation,
     _contraction_form,
@@ -41,8 +41,10 @@ from .relation import (
 )
 from .subspace import (
     DEFAULT_TOL,
+    Certificate,
     Subspace,
     ToleranceConfig,
+    _norm2,
     _orthonormal_columns,
     _row_space_and_kernel,
 )
@@ -99,7 +101,7 @@ def maximalize_contraction(relation: Relation,
     """
     if _min_eig(_contraction_form(relation)[0]) < -cfg.psd_tol:
         raise ValueError("relation is not a contraction")
-    pad = relation.dom(cfg).complement(cfg)
+    pad = relation.dom(cfg).complement()
     if pad.dim == 0:
         return relation
     w_frame = np.vstack([pad.frame, np.zeros_like(pad.frame)])
@@ -149,7 +151,7 @@ def _unitary_part(relation: Relation, cfg: ToleranceConfig):
         lambda frame, added: np.hstack([matrix @ added, matrix_h @ added]),
         cfg,
     )
-    return Subspace(frame).complement(cfg), rounds
+    return Subspace(frame).complement(), rounds
 
 
 def unitary_part_subspace(relation: Relation,
@@ -180,7 +182,7 @@ def nfl_decompose(relation: Relation,
                   cfg: ToleranceConfig = DEFAULT_TOL) -> DecompositionResult:
     """Split a closed contraction into unitary and completely nonunitary parts."""
     k, iterations = _unitary_part(relation, cfg)
-    k_perp = k.complement(cfg)
+    k_perp = k.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     k_unitary, iso_dev = _unitary_within(part_k, k, cfg)
     cnu_dim = float(_unitary_part(compress(part_p, k_perp, cfg), cfg)[0].dim)
@@ -225,7 +227,7 @@ def wold_decompose(relation: Relation,
             break
         k = new
 
-    wandering = Subspace.span(matrix, cfg, ambient_dim=n, scale=1.0).complement(cfg)
+    wandering = Subspace.span(matrix, cfg, ambient_dim=n, scale=1.0).complement()
 
     # Orthogonal sum of the iterated images of the wandering space; each
     # round's images are measured against the sum before they join it.
@@ -234,13 +236,12 @@ def wold_decompose(relation: Relation,
     def images_of(frame, added):
         nonlocal ortho_residual
         images = matrix @ added
-        if frame.size and images.size:
-            ortho_residual = max(ortho_residual, float(np.linalg.norm(frame.conj().T @ images, 2)))
+        ortho_residual = max(ortho_residual, _norm2(frame.conj().T @ images))
         return images
 
     acc = Subspace(_invariant_hull(wandering.frame, images_of, cfg)[0])
 
-    k_perp = k.complement(cfg)
+    k_perp = k.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     k_unitary, iso_dev = _unitary_within(part_k, k, cfg)
     r_wand = k_perp.gap(acc)
@@ -270,7 +271,7 @@ def dissipative_decompose(relation: Relation,
     if _min_eig(_dissipation_form(relation)[0]) < -cfg.psd_tol:
         raise ValueError("relation is not dissipative")
     k, iterations = _unitary_part(z_transform(relation, 1j, cfg), cfg)
-    k_perp = k.complement(cfg)
+    k_perp = k.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     r_sa = _selfadjoint_within_gap(part_k, k, cfg)
     mul_dim = float(part_p.mul(cfg).dim)
@@ -311,7 +312,7 @@ def symmetric_wold_decompose(relation: Relation,
         raise ValueError("relation is not maximal (the range of T + iI is a proper subspace)")
 
     transform = z_transform(relation, 1j, cfg)
-    wandering = relation.adjoint(cfg).deficiency(-1j, cfg).dom(cfg)
+    wandering = relation.adjoint().deficiency(-1j, cfg).dom(cfg)
 
     f, g = transform.F, transform.G
     # Orthonormal basis of the complement of the coefficients found so far.
@@ -329,7 +330,7 @@ def symmetric_wold_decompose(relation: Relation,
     frame, iterations = _invariant_hull(wandering.frame, images_of, cfg)
     k = Subspace(frame)
 
-    k_perp = k.complement(cfg)
+    k_perp = k.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     r_sa = _selfadjoint_within_gap(part_p, k_perp, cfg)
     if k.dim > 0:
@@ -363,7 +364,7 @@ def von_neumann_check(relation: Relation,
     """
     if not _is_symmetric(relation, cfg):
         raise ValueError("relation is not symmetric")
-    adj = relation.adjoint(cfg)
+    adj = relation.adjoint()
     def_plus = adj.deficiency(1j, cfg)
     def_minus = adj.deficiency(-1j, cfg)
     total = relation.graph.sum(def_plus.graph, cfg).sum(def_minus.graph, cfg)

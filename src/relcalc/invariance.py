@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .relation import Relation, doubled
-from .subspace import DEFAULT_TOL, Subspace, ToleranceConfig
+from .subspace import DEFAULT_TOL, Certificate, Subspace, ToleranceConfig
 from .ztransform import z_transform
 
 __all__ = [
@@ -29,16 +29,6 @@ __all__ = [
     "adjoint_within",
     "reduction_certificates",
 ]
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """One verified claim: the residual that was compared to a tolerance."""
-
-    name: str
-    passed: bool
-    residual: float
-    tolerance: float
 
 
 def _sum_gap(whole: Subspace, first: Subspace, second: Subspace,
@@ -64,7 +54,7 @@ def is_invariant(relation: Relation, k: Subspace,
     """
     if k.ambient_dim != relation.n:
         raise ValueError("subspace ambient dimension must equal the space dimension")
-    k_perp = k.complement(cfg)
+    k_perp = k.complement()
     dom, mul = relation.dom(cfg), relation.mul(cfg)
     dom_k = dom.intersect(k, cfg)
     residuals = (
@@ -78,7 +68,7 @@ def is_invariant(relation: Relation, k: Subspace,
 def reduction_gap(relation: Relation, k: Subspace,
                   cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Gap between T and the orthogonal sum of its restrictions to K, K-perp."""
-    return _split(relation, k, k.complement(cfg), cfg)[2]
+    return _split(relation, k, k.complement(), cfg)[2]
 
 
 def is_reducing(relation: Relation, k: Subspace,
@@ -125,7 +115,7 @@ def adjoint_within(relation: Relation, k: Subspace,
     The graph is compressed to coordinates of K, the adjoint is computed
     there, and the result is re-embedded; its graph again lies in K (+) K.
     """
-    return embed(compress(relation, k, cfg).adjoint(cfg), k)
+    return embed(compress(relation, k, cfg).adjoint(), k)
 
 
 @dataclass(frozen=True)
@@ -169,7 +159,7 @@ def reduction_certificates(relation: Relation, k: Subspace,
         residual = float(residual)
         certificates.append(Certificate(name, residual < cfg.gap_tol, residual, cfg.gap_tol))
 
-    k_perp = k.complement(cfg)
+    k_perp = k.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     cert("reducing", r_red)
 
@@ -184,7 +174,7 @@ def reduction_certificates(relation: Relation, k: Subspace,
         cert(f"invariant_{label}_multivalued", r_mul)
         cert(f"invariant_{label}_restriction_domain", part_dom.gap(dom_in))
 
-    adj = relation.adjoint(cfg)
+    adj = relation.adjoint()
     adj_k, adj_p, r_adj = _split(adj, k, k_perp, cfg)
     cert("adjoint_reduced", r_adj)
     for label, zeta in (("+i", 1j), ("-i", -1j)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -111,15 +111,16 @@ def _decode_tolerances(doc: dict) -> ToleranceConfig | None:
         return None
     if not isinstance(raw, dict):
         raise DocumentError("tolerances: expected an object")
+    names = [field.name for field in fields(ToleranceConfig)]
     kwargs = {}
-    for key in ("rank_tol", "psd_tol", "gap_tol"):
+    for key in names:
         if key in raw:
             value = raw[key]
             if (not isinstance(value, (int, float)) or isinstance(value, bool)
                     or not 0 <= value <= sys.float_info.max):
                 raise DocumentError(f"tolerances.{key}: expected a finite nonnegative number")
             kwargs[key] = float(value)
-    unknown = set(raw) - {"rank_tol", "psd_tol", "gap_tol"}
+    unknown = set(raw) - set(names)
     if unknown:
         raise DocumentError(f"tolerances: unknown keys {sorted(unknown)}")
     return ToleranceConfig(**kwargs)
@@ -175,11 +176,7 @@ def emit_relation(relation: Relation, name: str | None = None,
     if name is not None:
         doc["name"] = name
     if tolerances is not None:
-        doc["tolerances"] = {
-            "rank_tol": tolerances.rank_tol,
-            "psd_tol": tolerances.psd_tol,
-            "gap_tol": tolerances.gap_tol,
-        }
+        doc["tolerances"] = _tolerances_dict(tolerances)
     return json.dumps(doc, indent=2)
 
 
@@ -190,14 +187,11 @@ def parse_subspace(text: str, cfg: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     raw = doc.get("vectors")
     if not isinstance(raw, list):
         raise DocumentError("vectors: expected a list of vectors")
-    vectors = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != d:
             raise DocumentError(f"vectors[{i}]: expected a vector of length {d}")
-        vectors.append(
-            np.array([_decode_entry(e, f"vectors[{i}][{j}]") for j, e in enumerate(row)])
-        )
-    return Subspace.span(vectors, cfg, ambient_dim=d)
+    rows = _decode_matrix(raw, len(raw), "vectors").reshape(len(raw), d)
+    return Subspace.span(rows.T, cfg, ambient_dim=d)
 
 
 def emit_subspace(space: Subspace) -> str:
@@ -210,7 +204,7 @@ def emit_subspace(space: Subspace) -> str:
 
 
 def _tolerances_dict(cfg: ToleranceConfig) -> dict:
-    return {"rank_tol": cfg.rank_tol, "psd_tol": cfg.psd_tol, "gap_tol": cfg.gap_tol}
+    return {field.name: getattr(cfg, field.name) for field in fields(cfg)}
 
 
 def _certificate_dicts(certificates) -> list:

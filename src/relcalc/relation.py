@@ -17,7 +17,15 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .subspace import DEFAULT_TOL, Subspace, ToleranceConfig, _complement_frame, _kernel, _rank
+from .subspace import (
+    DEFAULT_TOL,
+    Subspace,
+    ToleranceConfig,
+    _complement_frame,
+    _kernel,
+    _residual,
+    _shared_coefficients,
+)
 
 __all__ = [
     "Relation",
@@ -212,12 +220,12 @@ class Relation:
         orthonormal, so no refactorization is needed."""
         return Relation(Subspace(np.vstack([self.G, self.F])))
 
-    def adjoint(self, cfg: ToleranceConfig = DEFAULT_TOL) -> "Relation":
+    def adjoint(self) -> "Relation":
         """Adjoint relation: the orthogonal complement of -(inverse graph).
 
         Equivalently the pairs (h, k) with <k, f> = <h, g> for every graph
         pair (f, g).  The flipped frame is orthonormal, so no tolerance is
-        read; ``cfg`` is accepted for a uniform signature.
+        read.
         """
         flipped = np.vstack([self.G, -self.F])  # stays orthonormal
         return Relation(Subspace(_complement_frame(flipped)))
@@ -229,14 +237,19 @@ class Relation:
         return Relation(self.graph.intersect(doubled(space), cfg))
 
     def restrict_domain(self, space: Subspace, cfg: ToleranceConfig = DEFAULT_TOL) -> "Relation":
-        """Intersection with ``space (+) H`` (domain restriction)."""
+        """Intersection with ``space (+) H`` (domain restriction).
+
+        The residual of the lifted graph frame against ``space (+) H`` is
+        (I - P_M) F on top and zero below, so the shared directions are
+        read from (I - P_M) F at the cut of ``intersect``, and only the
+        top block is moved halfway into ``space``.
+        """
         if space.ambient_dim != self.n:
             raise ValueError("subspace ambient dimension must equal the space dimension")
-        n = self.n
-        frame = np.zeros((2 * n, space.dim + n), dtype=complex)
-        frame[:n, : space.dim] = space.frame
-        frame[n:, space.dim :] = np.eye(n)
-        return Relation(self.graph.intersect(Subspace(frame), cfg))
+        off = _residual(space.frame, self.F)
+        coeffs = _shared_coefficients(off, np.sqrt(2) * cfg.rank_tol)
+        top = self.F @ coeffs - (off @ coeffs) / 2
+        return Relation(Subspace(np.vstack([top, self.G @ coeffs])))
 
     def deficiency(self, zeta: complex, cfg: ToleranceConfig = DEFAULT_TOL) -> "Relation":
         """The pairs (f, zeta*f) inside the relation; its domain is
@@ -244,40 +257,25 @@ class Relation:
 
         For graph coefficients c the sine of the angle between (Fc, Gc) and
         the line {(f, zeta*f)} is |(G - zeta*F) c| / sqrt(1 + |zeta|^2), so
-        the kernel of that matrix at the cut sqrt(2) * rank_tol gives the
-        same directions as ``graph.intersect(line)``.  One refinement step
-        removes what rounding left of the kept singular directions from the
-        kernel, and each direction is returned halfway between the graph
-        and the line, as ``intersect`` does.
+        ``_shared_coefficients`` of that matrix at the cut sqrt(2) * rank_tol
+        gives the same directions as ``graph.intersect(line)``.  Each
+        direction is returned halfway between the graph and the line, as
+        ``intersect`` does.
         """
         zc = _finite_zeta(zeta)
         if self.graph.dim == 0:
             return Relation.zero(self.n)
         norm2 = 1.0 + abs(zc) ** 2
         f, g = self.F, self.G
-        shifted = (g - zc * f) / np.sqrt(norm2)
-        u, s, vh = np.linalg.svd(shifted, full_matrices=self.n < self.graph.dim)
-        r = _rank(s, np.sqrt(2) * cfg.rank_tol, scale=1.0)
-        v = vh.conj().T
-        kept, coeffs = v[:, :r], v[:, r:]
-        # Subtract the pseudo-inverse image of the kernel's rounding residual.
-        coeffs = coeffs - kept @ ((u[:, :r].conj().T @ (shifted @ coeffs)) / s[:r, None])
+        coeffs = _shared_coefficients((g - zc * f) / np.sqrt(norm2), np.sqrt(2) * cfg.rank_tol)
         top, bot = f @ coeffs, g @ coeffs
         foot = (top + np.conj(zc) * bot) / norm2  # the line's point nearest (top, bot)
         return Relation(Subspace(np.vstack([top + foot, bot + zc * foot]) / 2))
 
     def image(self, space: Subspace, cfg: ToleranceConfig = DEFAULT_TOL) -> Subspace:
-        """Image ``{g : (f, g) in T, f in space}`` of a subspace.
-
-        Computed directly from the graph parameterization: the admissible
-        coefficients are the kernel of the F block projected off the
-        subspace, and their G side spans the image.
-        """
-        if space.ambient_dim != self.n:
-            raise ValueError("subspace ambient dimension must equal the space dimension")
-        off = self.F - space.frame @ (space.frame.conj().T @ self.F)
-        coeffs = _kernel(off, cfg.rank_tol, scale=1.0)
-        return Subspace.span(self.G @ coeffs, cfg, ambient_dim=self.n, scale=1.0)
+        """Image ``{g : (f, g) in T, f in space}`` of a subspace: the range
+        of the domain restriction."""
+        return self.restrict_domain(space, cfg).ran(cfg)
 
     def conjugate_by(self, unitary, cfg: ToleranceConfig = DEFAULT_TOL) -> "Relation":
         """Relation ``{(Qf, Qg)}`` for a unitary matrix Q."""
@@ -406,7 +404,7 @@ def classify(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> Classifi
     parts = relation.graph_parts(cfg)
     is_operator = parts.mul.dim == 0
 
-    adj = relation.adjoint(cfg)
+    adj = relation.adjoint()
     sa_gap = relation.graph.gap(adj.graph)
     is_selfadjoint = sa_gap < cfg.gap_tol
 

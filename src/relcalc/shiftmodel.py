@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import symmetric_wold_decompose
-from .invariance import Certificate, adjoint_within, orthogonal_relation_sum
+from .invariance import adjoint_within, orthogonal_relation_sum
 from .relation import Relation, _is_symmetric
-from .subspace import DEFAULT_TOL, Subspace, ToleranceConfig, _residual
+from .subspace import DEFAULT_TOL, Certificate, Subspace, ToleranceConfig, _norm2, _residual
 from .ztransform import z_transform
 
 __all__ = [
@@ -71,32 +71,25 @@ class WindowConfig:
         return self.n - self.margin
 
 
+def _stencil(w: WindowConfig, on: complex, below: complex) -> np.ndarray:
+    """N x (N-1) block whose k-th column is on * delta_k + below * delta_{k+1}."""
+    k = np.arange(w.n - 1)
+    block = np.zeros((w.n, w.n - 1), dtype=complex)
+    block[k, k] = on
+    block[k + 1, k] = below
+    return block
+
+
 def build_shift(w: WindowConfig) -> Relation:
     """Truncated unilateral shift: delta_k -> delta_{k+1}, k = 1..N-1."""
-    pairs = []
-    for k in range(w.n - 1):
-        f = np.zeros(w.n, dtype=complex)
-        g = np.zeros(w.n, dtype=complex)
-        f[k] = 1.0
-        g[k + 1] = 1.0
-        pairs.append((f, g))
-    return Relation.from_pairs(pairs, n=w.n)
+    return Relation.from_graph_matrix(_stencil(w, 1.0, 0.0), _stencil(w, 0.0, 1.0))
 
 
 def build_elementary_symmetric(w: WindowConfig) -> Relation:
     """Truncation of the symmetric operator whose Z transform at i is the
     shift, using the generator family obtained by feeding each basis
     vector through the defining sum."""
-    pairs = []
-    for k in range(w.n - 1):
-        f = np.zeros(w.n, dtype=complex)
-        g = np.zeros(w.n, dtype=complex)
-        f[k] = 1.0
-        f[k + 1] = -1j
-        g[k] = 1j
-        g[k + 1] = -1.0
-        pairs.append((f, g))
-    return Relation.from_pairs(pairs, n=w.n)
+    return Relation.from_graph_matrix(_stencil(w, 1.0, -1j), _stencil(w, 1j, -1.0))
 
 
 def build_restricted_symmetric(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Relation:
@@ -195,7 +188,7 @@ class SpectralProbe:
 
 def spectral_window_probe(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralProbe:
     op = build_elementary_symmetric(w)
-    adj = op.adjoint(cfg)
+    adj = op.adjoint()
     return _window_probe(w, op, adj, adj.deficiency(-1j, cfg).dom(cfg), cfg)
 
 
@@ -209,7 +202,7 @@ def _window_probe(w: WindowConfig, op: Relation, adj: Relation, minus_i_kernel: 
         kernel_dims[str(complex(zeta))] = op.deficiency(zeta, cfg).dom(cfg).dim
 
     probe = delta_span(w, [1])
-    residual = float(np.linalg.norm(_residual(minus_i_kernel.frame, probe.frame), 2))
+    residual = _norm2(_residual(minus_i_kernel.frame, probe.frame))
 
     lower_samples = [-1j, -2j, 1.0 - 1j, -0.5 - 0.5j]
     adjoint_dims = {}
@@ -263,7 +256,7 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
     # Transform identity; exact in the full space, asserted on the window.
     cert("transform_matches_shift", window_gap(z_transform(op, 1j, cfg), shift, w, cfg), 1e-12)
 
-    adj_op = op.adjoint(cfg)
+    adj_op = op.adjoint()
     deficiency_dir = adj_op.deficiency(-1j, cfg).dom(cfg)
     cert(
         "deficiency_line_is_delta1",
@@ -292,7 +285,7 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
     cert(
         "adjoint_identity_extension",
         window_gap(
-            extension.adjoint(cfg),
+            extension.adjoint(),
             orthogonal_relation_sum(restricted_plus, line, cfg),
             w,
             cfg,
@@ -305,7 +298,7 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
     cert(
         "adjoint_of_restriction_adds_line",
         window_gap(
-            restricted.adjoint(cfg),
+            restricted.adjoint(),
             Relation(adj_op.graph.sum(line.graph, cfg)),
             w,
             cfg,
@@ -316,7 +309,7 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
     # Wandering structure of the bare shift.
     cert(
         "shift_wandering_window",
-        window_gap(shift.ran(cfg).complement(cfg), window_span(w, [1]), w, cfg),
+        window_gap(shift.ran(cfg).complement(), window_span(w, [1]), w, cfg),
         cfg.gap_tol,
     )
 
@@ -335,7 +328,7 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
     )
     cert(
         "splitting_complement_is_delta1",
-        result.k.complement(cfg).gap(delta_span(w, [1])),
+        result.k.complement().gap(delta_span(w, [1])),
         cfg.gap_tol,
     )
     cert("splitting_complement_part_is_line", result.part_k_perp.gap(line), cfg.gap_tol)

@@ -15,7 +15,7 @@ matrix must read as rank zero; such call sites pin ``scale=1.0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -44,12 +44,22 @@ class ToleranceConfig:
     gap_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("rank_tol", "psd_tol", "gap_tol"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
+        for field in fields(self):
+            if not 0 <= getattr(self, field.name) < np.inf:
+                raise ValueError(f"{field.name} must be finite and nonnegative")
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """One verified claim: the residual that was compared to a tolerance."""
+
+    name: str
+    passed: bool
+    residual: float
+    tolerance: float
 
 
 def _as_matrix(vectors, ambient_dim=None) -> np.ndarray:
@@ -113,6 +123,34 @@ def _row_space_and_kernel(mat: np.ndarray, rank_tol: float, scale=None):
 def _kernel(mat: np.ndarray, rank_tol: float, scale=None) -> np.ndarray:
     """Orthonormal basis of the (right) null space of ``mat``."""
     return _row_space_and_kernel(mat, rank_tol, scale)[1]
+
+
+def _shared_coefficients(residual: np.ndarray, cut: float) -> np.ndarray:
+    """Orthonormal coefficients c of the directions shared by two spaces.
+
+    ``residual`` is R = (I - P_B) A for a frame A, so its singular values
+    are the sines of the principal angles between span A and span B
+    (Bjorck & Golub 1973).  The right singular vectors whose singular
+    value is at most ``cut`` (absolute) are kept, and one refinement step
+    removes what rounding left in them of the other right singular
+    vectors.  The shared direction A c - R c / 2 lies halfway between both
+    spaces.
+    """
+    rows, cols = residual.shape
+    if rows == 0 or cols == 0:
+        return np.eye(cols, dtype=complex)
+    # A tall matrix has all its right singular vectors in the thin SVD.
+    u, s, vh = np.linalg.svd(residual, full_matrices=rows < cols)
+    r = _rank(s, cut, scale=1.0)
+    v = vh.conj().T
+    row, coeffs = v[:, :r], v[:, r:]
+    # Subtract the pseudo-inverse image of the kernel's rounding residual.
+    return coeffs - row @ ((u[:, :r].conj().T @ (residual @ coeffs)) / s[:r, None])
+
+
+def _norm2(mat: np.ndarray) -> float:
+    """Spectral norm: the largest singular value, 0 for an empty matrix."""
+    return float(np.linalg.svd(mat, compute_uv=False)[0]) if mat.size else 0.0
 
 
 def _residual(frame: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -207,24 +245,22 @@ class Subspace:
     def intersect(self, other: "Subspace", cfg: ToleranceConfig = DEFAULT_TOL) -> "Subspace":
         """Largest subspace contained in both, from principal angles.
 
-        With A the smaller frame and B the other, the singular values of
-        (I - P_B) A are the sines of the principal angles (Bjorck & Golub
-        1973), and its kernel at the cut sqrt(2) * rank_tol gives the
-        coefficients of the shared directions.  The stacked projector
-        complements [I - P_A; I - P_B] have sqrt(2) sin(theta / 2) there,
-        so the cut keeps their rank_tol boundary to O(theta^2).  Each
-        shared direction u is returned as (u + P_B u) / 2, which is unit
-        to O(theta^2) and halfway between both spaces, as the stacked
+        With A the smaller frame and B the other, the shared directions
+        are those of ``_shared_coefficients`` on (I - P_B) A at the cut
+        sqrt(2) * rank_tol.  The stacked projector complements
+        [I - P_A; I - P_B] have sqrt(2) sin(theta / 2) there, so the cut
+        keeps their rank_tol boundary to O(theta^2).  Each direction is
+        unit to O(theta^2) and halfway between both spaces, as the stacked
         kernel's vector was.
         """
         self._check_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
         small, large = (self, other) if self.dim <= other.dim else (other, self)
-        a, b = small.frame, large.frame
-        cosines = b.conj().T @ a
-        coeffs = _kernel(a - b @ cosines, np.sqrt(2) * cfg.rank_tol, scale=1.0)
-        return Subspace((a @ coeffs + b @ (cosines @ coeffs)) / 2)
+        a = small.frame
+        residual = _residual(large.frame, a)
+        coeffs = _shared_coefficients(residual, np.sqrt(2) * cfg.rank_tol)
+        return Subspace(a @ coeffs - (residual @ coeffs) / 2)
 
     def sum(self, other: "Subspace", cfg: ToleranceConfig = DEFAULT_TOL) -> "Subspace":
         """Smallest subspace containing both.
@@ -241,12 +277,9 @@ class Subspace:
         added = _orthonormal_columns(_residual(a, b), np.sqrt(2) * cfg.rank_tol, scale=1.0)
         return Subspace(np.hstack([a, _residual(a, added)]))
 
-    def complement(self, cfg: ToleranceConfig = DEFAULT_TOL) -> "Subspace":
-        """Orthogonal complement within the ambient space.
-
-        The frame is already orthonormal, so no tolerance is read; ``cfg``
-        is accepted for a uniform signature.
-        """
+    def complement(self) -> "Subspace":
+        """Orthogonal complement within the ambient space.  The frame is
+        already orthonormal, so no tolerance is read."""
         return Subspace(_complement_frame(self.frame))
 
     def project(self, vector) -> np.ndarray:
@@ -268,21 +301,20 @@ class Subspace:
         if np.array_equal(self.frame, other.frame):
             return 0.0
         large, small = (self, other) if self.dim >= other.dim else (other, self)
-        residual = _residual(small.frame, large.frame)
-        return float(np.linalg.svd(residual, compute_uv=False)[0])
+        return _norm2(_residual(small.frame, large.frame))
 
     def contains(self, other: "Subspace", cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
         """Whether ``other`` is contained in this subspace (up to gap_tol)."""
         self._check_ambient(other)
         if other.dim == 0:
             return True
-        return float(np.linalg.norm(_residual(self.frame, other.frame), 2)) < cfg.gap_tol
+        return _norm2(_residual(self.frame, other.frame)) < cfg.gap_tol
 
     def is_orthogonal_to(self, other: "Subspace", cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
         self._check_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return True
-        return float(np.linalg.norm(self.frame.conj().T @ other.frame, 2)) < cfg.gap_tol
+        return _norm2(self.frame.conj().T @ other.frame) < cfg.gap_tol
 
     def direct_sum_check(self, other: "Subspace", cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
         """Orthogonality plus trivial intersection."""

@@ -10,12 +10,12 @@ dimension may drop and nothing here assumes it is preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .relation import Relation, _finite_zeta, doubled
-from .subspace import DEFAULT_TOL, Subspace, ToleranceConfig
+from .subspace import DEFAULT_TOL, Certificate, Subspace, ToleranceConfig
 
 __all__ = ["z_transform", "z_properties_check", "subspace_fixed_point_check", "ZPropertyReport"]
 
@@ -48,24 +48,38 @@ def subspace_fixed_point_check(space: Subspace, zeta: complex,
     return z_transform(square, zeta, cfg).equals(square, cfg)
 
 
+# The identity suite of ``z_properties_check``, in report order.
+_IDENTITIES = ("involution", "containment", "negation", "inverse",
+               "direct_sum", "orthogonal_sum", "adjoint", "closure")
+
+
 @dataclass(frozen=True)
 class ZPropertyReport:
     """Per-identity verdicts of the Z-transform identity suite.
 
-    Entries are True/False when the identity was evaluated and None when
-    its hypothesis is not met by the supplied zeta or operands (recorded
-    in ``notes``).  ``residuals`` holds the gap each verdict compared
-    against gap_tol.
+    Each evaluated identity is a certificate whose residual was compared
+    against gap_tol; an identity whose hypothesis the supplied zeta or
+    operands do not meet is not evaluated, and ``notes`` says why.
+    ``results`` maps every identity, in suite order, to its verdict, or
+    to None when it was not evaluated.
     """
 
     zeta: complex
-    results: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
+    certificates: tuple
+    notes: dict
+
+    @property
+    def results(self) -> dict:
+        passed = {c.name: c.passed for c in self.certificates}
+        return {name: passed.get(name) for name in _IDENTITIES}
+
+    @property
+    def residuals(self) -> dict:
+        return {c.name: c.residual for c in self.certificates}
 
     @property
     def all_passed(self) -> bool:
-        return all(v for v in self.results.values() if v is not None)
+        return all(c.passed for c in self.certificates)
 
 
 def z_properties_check(t: Relation, s: Relation, zeta: complex,
@@ -83,79 +97,55 @@ def z_properties_check(t: Relation, s: Relation, zeta: complex,
     - adjoint (non-real):     Z_zeta(T*) = (Z_{conj zeta}(T))*
     - closure (non-real):     the image graph is already closed
 
-    Hypothesis violations mark the entry None rather than raising.
+    Hypothesis violations are recorded in ``notes`` rather than raised.
     """
     zc = complex(zeta)
-    results: dict = {}
-    residuals: dict = {}
-    notes: dict = {}
-    nonreal = abs(zc.imag) > 0
+    certificates = []
+    notes = {}
+
+    def check(name, unmet, residual):
+        """Certify ``residual()`` against gap_tol, or note the unmet hypothesis."""
+        if unmet:
+            notes[name] = unmet
+            return
+        r = float(residual())
+        certificates.append(Certificate(name, r < cfg.gap_tol, r, cfg.gap_tol))
 
     zt = z_transform(t, zc, cfg)
     zs = z_transform(s, zc, cfg)
 
-    r = z_transform(zt, zc, cfg).gap(t)
-    results["involution"] = r < cfg.gap_tol
-    residuals["involution"] = r
+    check("involution", None, lambda: z_transform(zt, zc, cfg).gap(t))
+    check("containment", None,
+          lambda: s.graph.contains(t.graph, cfg) != zs.graph.contains(zt.graph, cfg))
+    check("negation", None, lambda: z_transform(t, -zc, cfg).gap(
+        z_transform(t.scale(-1.0, cfg), zc, cfg).scale(-1.0, cfg)))
 
-    lhs = s.graph.contains(t.graph, cfg)
-    rhs = zs.graph.contains(zt.graph, cfg)
-    results["containment"] = lhs == rhs
-    residuals["containment"] = float(lhs != rhs)
-
-    r = z_transform(t, -zc, cfg).gap(z_transform(t.scale(-1.0, cfg), zc, cfg).scale(-1.0, cfg))
-    results["negation"] = r < cfg.gap_tol
-    residuals["negation"] = r
-
-    if abs(abs(zc) - 1.0) < 1e-12:
+    def inverse_residual():
         z_inv = z_transform(t.inverse(), zc, cfg)
-        r1 = z_inv.gap(z_transform(t, np.conj(zc), cfg))
-        r2 = z_inv.gap(zt.inverse())
-        r = max(r1, r2)
-        results["inverse"] = r < cfg.gap_tol
-        residuals["inverse"] = r
-    else:
-        results["inverse"] = None
-        notes["inverse"] = "requires |zeta| = 1"
+        return max(z_inv.gap(z_transform(t, np.conj(zc), cfg)), z_inv.gap(zt.inverse()))
 
-    if not nonreal:
-        for key in ("direct_sum", "orthogonal_sum", "adjoint", "closure"):
-            results[key] = None
-            notes[key] = "requires non-real zeta"
-        return ZPropertyReport(zeta=zc, results=results, residuals=residuals, notes=notes)
+    check("inverse", None if abs(abs(zc) - 1.0) < 1e-12 else "requires |zeta| = 1",
+          inverse_residual)
 
-    graph_sum = t.graph.sum(s.graph, cfg)
-    if graph_sum.dim == t.graph.dim + s.graph.dim:
-        lhs_rel = z_transform(Relation(graph_sum), zc, cfg)
-        r = lhs_rel.graph.gap(zt.graph.sum(zs.graph, cfg))
-        results["direct_sum"] = r < cfg.gap_tol
-        residuals["direct_sum"] = r
-    else:
-        results["direct_sum"] = None
-        notes["direct_sum"] = "graphs are not independent"
+    real = None if zc.imag else "requires non-real zeta"
+    graph_sum = None if real else t.graph.sum(s.graph, cfg)
 
-    if abs(zc - 1j) < 1e-12 or abs(zc + 1j) < 1e-12:
-        if t.graph.is_orthogonal_to(s.graph, cfg):
-            lhs_rel = z_transform(Relation(t.graph.sum(s.graph, cfg)), zc, cfg)
-            r = lhs_rel.graph.gap(zt.graph.sum(zs.graph, cfg))
-            results["orthogonal_sum"] = r < cfg.gap_tol
-            residuals["orthogonal_sum"] = r
-        else:
-            results["orthogonal_sum"] = None
-            notes["orthogonal_sum"] = "graphs are not orthogonal"
-    else:
-        results["orthogonal_sum"] = None
-        notes["orthogonal_sum"] = "requires zeta = +-i"
+    def sum_residual():
+        return z_transform(Relation(graph_sum), zc, cfg).graph.gap(zt.graph.sum(zs.graph, cfg))
 
-    r = z_transform(t.adjoint(cfg), zc, cfg).gap(z_transform(t, np.conj(zc), cfg).adjoint(cfg))
-    results["adjoint"] = r < cfg.gap_tol
-    residuals["adjoint"] = r
-
+    check("direct_sum",
+          real or (None if graph_sum.dim == t.graph.dim + s.graph.dim
+                   else "graphs are not independent"),
+          sum_residual)
+    near_i = min(abs(zc - 1j), abs(zc + 1j)) < 1e-12
+    check("orthogonal_sum",
+          real or (None if near_i else "requires zeta = +-i")
+          or (None if t.graph.is_orthogonal_to(s.graph, cfg) else "graphs are not orthogonal"),
+          sum_residual)
+    check("adjoint", real, lambda: z_transform(t.adjoint(), zc, cfg).gap(
+        z_transform(t, np.conj(zc), cfg).adjoint()))
     # Closure is the identity map in this representation; re-orthonormalizing
     # the image frame must reproduce the same graph.
-    reclosed = Relation(Subspace.span(zt.graph.frame, cfg, ambient_dim=2 * t.n))
-    r = zt.gap(reclosed)
-    results["closure"] = r < cfg.gap_tol
-    residuals["closure"] = r
-
-    return ZPropertyReport(zeta=zc, results=results, residuals=residuals, notes=notes)
+    check("closure", real,
+          lambda: zt.gap(Relation(Subspace.span(zt.graph.frame, cfg, ambient_dim=2 * t.n))))
+    return ZPropertyReport(zc, tuple(certificates), notes)

@@ -11,6 +11,12 @@ with ``Subspace.sum``, mapping the whole subspace every step.
 ``svd_complement`` the kernel of A^H from a wide SVD, and
 ``line_deficiency`` the intersection of the graph with the 2n x n line
 frame {(f, zeta f)}.  All cut at ``rank_tol`` on an absolute scale.
+``lifted_restrict_domain`` is the domain restriction as the intersection
+of the graph with the 2n x (dim M + n) frame of M (+) H, and
+``kernel_image`` the image of M as the G side of the kernel of
+(I - P_M) F at ``rank_tol``.  ``loop_shift`` and
+``loop_elementary_symmetric`` build the shift model's generators one
+pair at a time.
 """
 
 import numpy as np
@@ -39,6 +45,39 @@ def line_deficiency(relation, zeta, cfg=DEFAULT_TOL):
     line = np.vstack([np.eye(n, dtype=complex), zeta * np.eye(n, dtype=complex)])
     line /= np.sqrt(1.0 + abs(zeta) ** 2)
     return Relation(relation.graph.intersect(Subspace(line), cfg))
+
+
+def lifted_restrict_domain(relation, space, cfg=DEFAULT_TOL):
+    n = relation.n
+    frame = np.zeros((2 * n, space.dim + n), dtype=complex)
+    frame[:n, : space.dim] = space.frame
+    frame[n:, space.dim :] = np.eye(n)
+    return Relation(relation.graph.intersect(Subspace(frame), cfg))
+
+
+def kernel_image(relation, space, cfg=DEFAULT_TOL):
+    off = relation.F - space.frame @ (space.frame.conj().T @ relation.F)
+    coeffs = _kernel(off, cfg.rank_tol, scale=1.0)
+    return Subspace.span(relation.G @ coeffs, cfg, ambient_dim=relation.n, scale=1.0)
+
+
+def _loop_pairs(w, f_entries, g_entries):
+    pairs = []
+    for k in range(w.n - 1):
+        f = np.zeros(w.n, dtype=complex)
+        g = np.zeros(w.n, dtype=complex)
+        f[k], f[k + 1] = f_entries
+        g[k], g[k + 1] = g_entries
+        pairs.append((f, g))
+    return Relation.from_pairs(pairs, n=w.n)
+
+
+def loop_shift(w):
+    return _loop_pairs(w, (1.0, 0.0), (0.0, 1.0))
+
+
+def loop_elementary_symmetric(w):
+    return _loop_pairs(w, (1.0, -1j), (1j, -1.0))
 
 
 def stacked_intersect(a, b, cfg=DEFAULT_TOL):

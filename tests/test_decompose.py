@@ -408,7 +408,7 @@ def test_symmetric_wold_preconditions(rng):
 def _one_step_image_chain(relation, cfg=DEFAULT_TOL):
     """Reference chain: K_{j+1} = K_j + image(K_j), one full image per step."""
     transform = z_transform(relation, 1j, cfg)
-    k = relation.adjoint(cfg).deficiency(-1j, cfg).dom(cfg)
+    k = relation.adjoint().deficiency(-1j, cfg).dom(cfg)
     iterations = 0
     for _ in range(2 * relation.n + 2):
         grown = k.sum(transform.image(k, cfg), cfg)

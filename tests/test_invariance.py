@@ -166,3 +166,11 @@ def test_compressed_classification_matches(rng):
         part = t.restrict(mul.complement())
         small = compress(part, mul.complement())
         assert classify(small).is_selfadjoint
+
+
+def test_certificate_is_one_record():
+    import relcalc
+    from relcalc import decompose, invariance, subspace, ztransform
+
+    assert relcalc.Certificate is invariance.Certificate is subspace.Certificate
+    assert decompose.Certificate is ztransform.Certificate is subspace.Certificate

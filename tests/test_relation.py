@@ -20,7 +20,7 @@ from relcalc.relation import (
 )
 
 import gen
-from reference import line_deficiency
+from reference import kernel_image, lifted_restrict_domain, line_deficiency
 
 CFG = ToleranceConfig()
 DEFICIENCY_POINTS = [1j, -1j, 2j, 0.0, 1.0, 1.0 + 1j]
@@ -315,6 +315,34 @@ def test_image(rng):
     sub = gen.random_subspace(rng, 4, 2)
     img = t.image(sub)
     assert img.gap(Subspace.span(m @ sub.frame, ambient_dim=4)) < 1e-10
+
+
+def test_restrict_domain_and_image_match_references(rng):
+    # every graph dimension and every dimension of M, for n up to 8
+    for n in range(1, 9):
+        for graph_dim in range(2 * n + 1):
+            for space_dim in range(n + 1):
+                t = gen.random_relation(rng, n, graph_dim)
+                space = gen.random_subspace(rng, n, space_dim)
+                got, ref = t.restrict_domain(space), lifted_restrict_domain(t, space)
+                assert got.graph.dim == ref.graph.dim
+                assert got.gap(ref) < 1e-12
+                got, ref = t.image(space), kernel_image(t, space)
+                assert got.dim == ref.dim
+                assert got.gap(ref) < 1e-12
+
+
+@pytest.mark.parametrize("sine", [0.9e-10, 1.2e-10, 1.5e-10])
+def test_image_planted_sine_agrees_with_restrict_domain(sine):
+    # One graph vector (f, g) with f at the sine ``sine`` off M = span{e1}.
+    # Both read it at the cut sqrt(2) * rank_tol; the old image cut at
+    # rank_tol, so at 1.2e-10 it dropped what restrict_domain kept.
+    half = np.sqrt((1 - sine ** 2) / 2)
+    t = Relation(Subspace(np.array([[half], [sine], [0.0], [half]], dtype=complex)))
+    space = Subspace.from_basis_indices(2, [0])
+    expected = 1 if sine <= np.sqrt(2) * CFG.rank_tol else 0
+    assert t.image(space).dim == t.restrict_domain(space).ran().dim == expected
+    assert kernel_image(t, space).dim == (1 if sine <= CFG.rank_tol else 0)
 
 
 # -- classification ----------------------------------------------------

@@ -26,7 +26,17 @@ from relcalc import (
 )
 from relcalc import shiftmodel
 
+from reference import loop_elementary_symmetric, loop_shift
+
 W16 = WindowConfig(n=16, margin=4)
+
+
+@pytest.mark.parametrize("n", [8, 16, 128])
+def test_builders_match_loop_reference(n):
+    w = WindowConfig(n=n)
+    assert np.array_equal(build_shift(w).graph.frame, loop_shift(w).graph.frame)
+    assert np.array_equal(build_elementary_symmetric(w).graph.frame,
+                          loop_elementary_symmetric(w).graph.frame)
 
 
 def test_window_config_validation():

@@ -183,10 +183,10 @@ def test_complement_matches_svd_reference(rng):
 
 
 def test_complement_reads_no_tolerance():
-    # An orthonormal frame has full column rank, whatever rank_tol says.
-    loose = ToleranceConfig(rank_tol=2.0)
+    # An orthonormal frame has full column rank, so complement takes no
+    # tolerance at all.
     e1 = Subspace.from_basis_indices(3, [0])
-    assert e1.complement(loose).gap(Subspace.from_basis_indices(3, [1, 2])) < 1e-15
+    assert e1.complement().gap(Subspace.from_basis_indices(3, [1, 2])) < 1e-15
 
 
 @pytest.mark.parametrize("theta", PLANTED_ANGLES)

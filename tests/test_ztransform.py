@@ -4,6 +4,7 @@ import pytest
 from relcalc import (
     Relation,
     Subspace,
+    ToleranceConfig,
     classify,
     subspace_fixed_point_check,
     z_properties_check,
@@ -130,6 +131,30 @@ def test_properties_check_hypotheses():
     assert report.results["direct_sum"] is None
     assert report.results["adjoint"] is None
     assert "non-real" in report.notes["adjoint"]
+
+
+SUITE = ["involution", "containment", "negation", "inverse",
+         "direct_sum", "orthogonal_sum", "adjoint", "closure"]
+
+
+@pytest.mark.parametrize("zeta", [1j, -1j, 2j, np.exp(1j * np.pi / 4), 0.5, 0.0])
+def test_properties_check_certificates(rng, zeta):
+    cfg = ToleranceConfig(gap_tol=1e-7)
+    for _ in range(5):
+        n = int(rng.integers(1, 5))
+        report = z_properties_check(gen.random_relation(rng, n), gen.random_relation(rng, n),
+                                    zeta, cfg)
+        assert list(report.results) == SUITE
+        by_name = {c.name: c for c in report.certificates}
+        for name, verdict in report.results.items():
+            if verdict is None:
+                assert name in report.notes and name not in by_name
+            else:
+                cert = by_name[name]
+                assert cert.tolerance == cfg.gap_tol
+                assert verdict is cert.passed is (cert.residual < cfg.gap_tol)
+        assert [c.name for c in report.certificates] == [k for k in SUITE if k in by_name]
+        assert report.residuals == {c.name: c.residual for c in report.certificates}
 
 
 def test_orthogonal_sum_property(rng):
