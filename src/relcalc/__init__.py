@@ -8,7 +8,7 @@ selfadjoint/completely-nonselfadjoint, elementary-maximal/selfadjoint)
 together with a truncated sequence-space shift model.
 """
 
-from .subspace import DEFAULT_TOL, Certificate, Subspace, ToleranceConfig, orthonormalize
+from .subspace import DEFAULT_TOL, Certificate, Subspace, ToleranceConfig
 from .relation import (
     ClassificationReport,
     GraphParts,
@@ -63,7 +63,6 @@ __all__ = [
     "DEFAULT_TOL",
     "Subspace",
     "ToleranceConfig",
-    "orthonormalize",
     "ClassificationReport",
     "GraphParts",
     "Relation",

@@ -46,7 +46,9 @@ from .subspace import (
     ToleranceConfig,
     _norm2,
     _orthonormal_columns,
-    _row_space_and_kernel,
+    _reflect_to_front,
+    _residual,
+    _right_singular_split,
 )
 from .ztransform import z_transform
 
@@ -286,6 +288,47 @@ def dissipative_decompose(relation: Relation,
     return DecompositionResult(k, part_k, part_p, certificates, iterations)
 
 
+def _chain_split(f: np.ndarray, frame: np.ndarray, coeffs: np.ndarray,
+                 cfg: ToleranceConfig):
+    """Split the coefficients spanned by the orthonormal ``coeffs`` by the
+    residual (I - P_frame) F c of each unit coefficient c.
+
+    One SVD of (I - P_frame) F coeffs, cut at ``rank_tol`` on an absolute
+    scale, gives the found coefficients (orthonormal; F maps them into span
+    ``frame``) and the rest.  Those whose residual is at least 1/2 are
+    returned as coefficients P with orthonormal residuals (the transform of
+    a symmetric relation is isometric, so a unit coefficient orthogonal to
+    the frame has residual 1/sqrt(2)); the others, whose residual direction
+    rounding would blur by eps / residual, as orthonormal coefficients D.
+    """
+    s, v, r = _right_singular_split(_residual(frame, f @ coeffs), cfg.rank_tol, scale=1.0)
+    full = np.count_nonzero(s[:r] >= 0.5)
+    v = coeffs @ v
+    return v[:, :full] / s[:full], v[:, full:r], v[:, r:]
+
+
+def _chain_step(f: np.ndarray, frame: np.ndarray, added: np.ndarray,
+                p: np.ndarray, d: np.ndarray, cfg: ToleranceConfig):
+    """Update the split of ``_chain_split`` after ``added`` joined the frame.
+
+    With Q = (I - P_frame) F P orthonormal, only the directions of span Q
+    that the new columns A touch change: the right singular vectors of the
+    k x r matrix A^H Q = A^H F P, brought to the front of P by k reflectors.
+    Their coefficients and D are split again by ``_chain_split``; the other
+    columns of P keep their residuals.  The first round, with P empty and D
+    the identity, is one SVD of the whole residual.  P is owned by the
+    chain and is reflected in place.
+    """
+    t, coeffs = 0, d
+    if p.shape[1]:
+        z = np.linalg.svd((added.conj().T @ f) @ p, full_matrices=False)[2].conj().T
+        _reflect_to_front(z, p)
+        t = z.shape[1]
+        coeffs = np.linalg.qr(np.hstack([p[:, :t], d]))[0]
+    p_new, d, found = _chain_split(f, frame, coeffs, cfg)
+    return np.hstack([p_new, p[:, t:]]), d, found
+
+
 def symmetric_wold_decompose(relation: Relation,
                              cfg: ToleranceConfig = DEFAULT_TOL,
                              *, require_maximal: bool = True) -> DecompositionResult:
@@ -302,8 +345,14 @@ def symmetric_wold_decompose(relation: Relation,
     The image chain K_0 = L, K_{j+1} = K_j + V K_j is the invariant hull
     of L.  With the transform's graph frame [F; G], the coefficients mapped
     into K_j form C_j = {c : Fc in K_j}; then C_j grows with j and G C_j
-    lies in K_{j+1}.  So each round maps only coefficients in the complement
-    of those already found, which the map keeps between rounds.
+    lies in K_{j+1}.  So each round maps only the newly found coefficients:
+    the unit coefficients c, among those not found before, whose residual
+    ||(I - P_K) F c|| is at most ``rank_tol`` (absolute scale).
+    The first round reads them from one SVD of (I - P_L) F.  Later rounds
+    re-read only the coefficients whose residual the new columns A of K
+    touch, found from the k x r matrix A^H (I - P_K) F P for the unfound
+    coefficients P, so a round costs O(N r k) and not an SVD of the whole
+    N x r residual (see ``_chain_step``).
     ``iterations`` counts the steps of the one-step chain K_j + image(K_j).
     """
     if not _is_symmetric(relation, cfg):
@@ -315,17 +364,13 @@ def symmetric_wold_decompose(relation: Relation,
     wandering = relation.adjoint().deficiency(-1j, cfg).dom(cfg)
 
     f, g = transform.F, transform.G
-    # Orthonormal basis of the complement of the coefficients found so far.
-    unfound = np.eye(g.shape[1], dtype=complex)
+    # Unfound coefficients: carried ones (P) and ones read again (D).
+    p, d = np.zeros((f.shape[1], 0), dtype=complex), np.eye(f.shape[1], dtype=complex)
 
     def images_of(frame, added):
-        nonlocal unfound
-        off = f @ unfound
-        off = off - frame @ (frame.conj().T @ off)
-        rest, found = _row_space_and_kernel(off, cfg.rank_tol, scale=1.0)
-        images = g @ (unfound @ found)
-        unfound = unfound @ rest
-        return images
+        nonlocal p, d
+        p, d, found = _chain_step(f, frame, added, p, d, cfg)
+        return g @ found
 
     frame, iterations = _invariant_hull(wandering.frame, images_of, cfg)
     k = Subspace(frame)

@@ -28,7 +28,16 @@ import numpy as np
 from .decompose import symmetric_wold_decompose
 from .invariance import adjoint_within, orthogonal_relation_sum
 from .relation import Relation, _is_symmetric
-from .subspace import DEFAULT_TOL, Certificate, Subspace, ToleranceConfig, _norm2, _residual
+from .subspace import (
+    DEFAULT_TOL,
+    Certificate,
+    Subspace,
+    ToleranceConfig,
+    _norm2,
+    _orthonormal_columns,
+    _reflect_to_front,
+    _residual,
+)
 from .ztransform import z_transform
 
 __all__ = [
@@ -131,23 +140,47 @@ def window_span(w: WindowConfig, indices) -> Subspace:
     return delta_span(w, ks)
 
 
+def _kept_rows_frame(kept: np.ndarray, dropped: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Orthonormal frame of the column span of ``kept``, where the rows
+    ``kept`` and ``dropped`` together form an orthonormal frame.
+
+    The Gram of ``kept`` is I - D^H D for the few dropped rows D, so
+    ``kept`` stays orthonormal on the kernel of D.  Reflectors bring the
+    right singular vectors of D to the front; only those leading rows(D)
+    columns move.  They are orthogonalized twice against the rest and
+    spanned by one thin SVD cut at ``rank_tol`` (absolute), whose singular
+    values are those of ``kept`` that D moved.
+    """
+    if kept.shape[1] == 0:
+        return kept
+    z = np.linalg.svd(dropped, full_matrices=False)[2].conj().T
+    rotated = kept.astype(complex)
+    _reflect_to_front(z, rotated)
+    moved, still = rotated[:, :z.shape[1]], rotated[:, z.shape[1]:]
+    for _pass in range(2):  # Gram-Schmidt twice is enough against the rest
+        moved = _residual(still, moved)
+    return np.hstack([_orthonormal_columns(moved, rank_tol, scale=1.0), still])
+
+
 def window_compress(obj, w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL):
     """Orthogonal compression onto the window coordinates.
 
     Subspaces map to subspaces of C^(N-margin); relations are compressed
-    blockwise in the doubled space.  Frames are re-orthonormalized after
-    the projection.
+    blockwise in the doubled space.  The rank is read from the dropped
+    rows, margin of them for a subspace and 2 * margin for a relation
+    (see ``_kept_rows_frame``), at ``rank_tol`` on an absolute scale.
     """
     wd = w.window_dim
     if isinstance(obj, Relation):
         if obj.n != w.n:
             raise ValueError("relation does not live in the model space")
-        stack = np.vstack([obj.F[:wd], obj.G[:wd]])
-        return Relation(Subspace.span(stack, cfg, ambient_dim=2 * wd, scale=1.0))
+        kept = np.vstack([obj.F[:wd], obj.G[:wd]])
+        dropped = np.vstack([obj.F[wd:], obj.G[wd:]])
+        return Relation(Subspace(_kept_rows_frame(kept, dropped, cfg.rank_tol)))
     if isinstance(obj, Subspace):
         if obj.ambient_dim != w.n:
             raise ValueError("subspace does not live in the model space")
-        return Subspace.span(obj.frame[:wd], cfg, ambient_dim=wd, scale=1.0)
+        return Subspace(_kept_rows_frame(obj.frame[:wd], obj.frame[wd:], cfg.rank_tol))
     raise TypeError("expected a Subspace or a Relation")
 
 

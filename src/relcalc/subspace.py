@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["ToleranceConfig", "DEFAULT_TOL", "Subspace", "orthonormalize"]
+__all__ = ["ToleranceConfig", "DEFAULT_TOL", "Subspace"]
 
 # Constructor sanity bound for frame orthonormality; independent of the
 # per-operation tolerances because it guards representation validity only.
@@ -105,24 +105,22 @@ def _orthonormal_columns(mat: np.ndarray, rank_tol: float, scale=None) -> np.nda
     return np.ascontiguousarray(u[:, :_rank(s, rank_tol, scale)])
 
 
-def _row_space_and_kernel(mat: np.ndarray, rank_tol: float, scale=None):
-    """Orthonormal bases of the row space (the orthogonal complement of the
-    null space) and of the (right) null space of ``mat``."""
+def _right_singular_split(mat: np.ndarray, rank_tol: float, scale=None):
+    """Singular values s, all right singular vectors v (as columns) and
+    rank r of ``mat``: v[:, :r] spans its row space (the orthogonal
+    complement of the null space) and v[:, r:] its (right) null space."""
     rows, cols = mat.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=complex), np.zeros((0, 0), dtype=complex)
-    if rows == 0:
-        return np.zeros((cols, 0), dtype=complex), np.eye(cols, dtype=complex)
+    if rows == 0 or cols == 0:
+        return np.zeros(0), np.eye(cols, dtype=complex), 0
     # A tall matrix has all its right singular vectors in the thin SVD.
     _, s, vh = np.linalg.svd(mat, full_matrices=rows < cols)
-    r = _rank(s, rank_tol, scale)
-    v = vh.conj().T
-    return np.ascontiguousarray(v[:, :r]), np.ascontiguousarray(v[:, r:])
+    return s, vh.conj().T, _rank(s, rank_tol, scale)
 
 
 def _kernel(mat: np.ndarray, rank_tol: float, scale=None) -> np.ndarray:
     """Orthonormal basis of the (right) null space of ``mat``."""
-    return _row_space_and_kernel(mat, rank_tol, scale)[1]
+    _, v, r = _right_singular_split(mat, rank_tol, scale)
+    return np.ascontiguousarray(v[:, r:])
 
 
 def _shared_coefficients(residual: np.ndarray, cut: float) -> np.ndarray:
@@ -156,6 +154,30 @@ def _norm2(mat: np.ndarray) -> float:
 def _residual(frame: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """``(I - P) vectors`` for the projector P onto an orthonormal frame."""
     return vectors - frame @ (frame.conj().T @ vectors)
+
+
+def _reflect_to_front(z: np.ndarray, mat: np.ndarray) -> None:
+    """Multiply ``mat`` in place from the right by the Householder
+    reflectors that take the orthonormal columns ``z`` to the leading unit
+    vectors, so that its leading columns become ``mat @ z`` up to unit
+    phases and the rest span the complement: O(rows * cols) per column of
+    ``z``, not a full rotation.  The reflectors I - 2 w w^H are applied at
+    once in the compact WY form I - W T W^H (Schreiber & Van Loan 1989)."""
+    m, t = z.shape
+    z = z.astype(complex)
+    w = np.zeros((m, t), dtype=complex)
+    tri = np.zeros((t, t), dtype=complex)
+    for j in range(t):
+        x = z[j:, j]
+        v = x.copy()
+        v[0] += (x[0] / abs(x[0]) if x[0] != 0 else 1.0) * np.linalg.norm(x)
+        v /= np.linalg.norm(v)
+        z[j:, j:] -= 2 * np.outer(v, v.conj() @ z[j:, j:])
+        w[j:, j] = v
+        tri[:j, j] = -2 * (tri[:j, :j] @ (w[:, :j].conj().T @ w[:, j]))
+        tri[j, j] = 2
+    if t:
+        mat -= (mat @ w) @ (tri @ w.conj().T)
 
 
 def _complement_frame(frame: np.ndarray) -> np.ndarray:
@@ -325,8 +347,3 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient_dim={self.ambient_dim})"
-
-
-def orthonormalize(vectors, cfg: ToleranceConfig = DEFAULT_TOL, *, ambient_dim=None) -> Subspace:
-    """Span of a finite family of vectors in C^d as a Subspace."""
-    return Subspace.span(vectors, cfg, ambient_dim=ambient_dim)

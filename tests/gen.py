@@ -152,3 +152,47 @@ def block_contraction(rng, k, m):
         blk[k:, k:] = random_contraction_matrix(rng, m, 0.9)
     v = q @ blk @ q.conj().T
     return Relation.from_operator(v), Subspace.span(q[:, :k], ambient_dim=n)
+
+
+def planted_sine_symmetric(rng, sine):
+    """Symmetric relation whose Z transform at i is, in a random orthonormal
+    basis a0, a1, a2, a3, e, the isometry a0 -> a1 -> a2, x -> a3 -> e with
+    x = cos a2 + ``sine`` e.  The image chain reaches span{a0, a1, a2} in two
+    rounds; x lies at principal angle ``sine`` to it and e is reached only
+    through x.  Returns the relation and span{a0, a1, a2}, its K when x is
+    not read as found."""
+    q = random_unitary(rng, 5)
+    a0, a1, a2, a3, e = q.T
+    x = np.sqrt(1 - sine**2) * a2 + sine * e
+    pairs = [(a0, a1), (a1, a2), (x, a3), (a3, e)]
+    return z_transform(Relation.from_pairs(pairs, n=5), 1j), Subspace.span(q[:, :3], ambient_dim=5)
+
+
+def oblique_step_symmetric(rng, lengths, sines, unitary_dim):
+    """Symmetric relation whose Z transform at i walks one chain per entry
+    of ``lengths`` (a chain of length k maps its first k vectors one step
+    along), in a random orthonormal basis, next to a unitary diagonal part.
+    In chain c > 0 one step leaves from cos a + sines[c - 1] b instead of
+    its vector a, where b is the last vector of chain c - 1, so the image
+    chain meets that step at principal angle sines[c - 1] before b arrives.
+    Returns the relation and the span of all chain vectors, its K."""
+    n = sum(k + 1 for k in lengths) + unitary_dim
+    q = random_unitary(rng, n)
+    pairs = []
+    start = 0
+    previous_end = None
+    for c, k in enumerate(lengths):
+        chain = q[:, start:start + k + 1]
+        tilted = int(rng.integers(0, k)) if c > 0 else -1
+        for j in range(k):
+            f = chain[:, j]
+            if j == tilted:
+                s = sines[c - 1]
+                f = np.sqrt(1 - s**2) * f + s * previous_end
+            pairs.append((f, chain[:, j + 1]))
+        previous_end = chain[:, k]
+        start += k + 1
+    chain_span = Subspace.span(q[:, :start], ambient_dim=n)
+    for u in q[:, start:].T:
+        pairs.append((u, np.exp(2j * np.pi * rng.uniform()) * u))
+    return z_transform(Relation.from_pairs(pairs, n=n), 1j), chain_span

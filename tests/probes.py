@@ -1,0 +1,59 @@
+"""Recorders for the work-count tests.
+
+``record_factorizations`` passes the shape of every matrix given to
+``np.linalg.svd`` or ``np.linalg.qr`` to a callback.  ``record_chain_rounds``
+records each round of the symmetric-Wold image chain after its first (the
+first has nothing carried yet and factors F once): the number of columns
+the round added, the shapes it factored and the (carried, re-read, found)
+column counts of its splits.
+"""
+
+import numpy as np
+
+from relcalc import decompose
+
+
+def record_factorizations(monkeypatch, record):
+    """Pass the shape of every matrix given to np.linalg.svd or .qr to
+    ``record``."""
+    for name in ("svd", "qr"):
+        original = getattr(np.linalg, name)
+
+        def recorded(mat, *args, _original=original, **kwargs):
+            record(np.shape(mat))
+            return _original(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+
+
+def record_chain_rounds(monkeypatch):
+    """List that fills with one dict per image-chain round after the first:
+    ``added`` (columns the round added), ``shapes`` (of its factorizations)
+    and ``splits`` ((carried, re-read, found) counts per split)."""
+    rounds = []
+    inside = []
+    step, split = decompose._chain_step, decompose._chain_split
+
+    def recorded_step(f, frame, added, p, d, cfg):
+        inside.append(p.shape[1] > 0)
+        if inside[-1]:
+            rounds.append({"added": added.shape[1], "shapes": [], "splits": []})
+        try:
+            return step(f, frame, added, p, d, cfg)
+        finally:
+            inside.pop()
+
+    def recorded_split(*args):
+        out = split(*args)
+        if inside and inside[-1]:
+            rounds[-1]["splits"].append(tuple(part.shape[1] for part in out))
+        return out
+
+    def record_shape(shape):
+        if inside and inside[-1]:
+            rounds[-1]["shapes"].append(shape)
+
+    monkeypatch.setattr(decompose, "_chain_step", recorded_step)
+    monkeypatch.setattr(decompose, "_chain_split", recorded_split)
+    record_factorizations(monkeypatch, record_shape)
+    return rounds

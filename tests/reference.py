@@ -16,13 +16,17 @@ of the graph with the 2n x (dim M + n) frame of M (+) H, and
 ``kernel_image`` the image of M as the G side of the kernel of
 (I - P_M) F at ``rank_tol``.  ``loop_shift`` and
 ``loop_elementary_symmetric`` build the shift model's generators one
-pair at a time.
+pair at a time.  ``row_space_image_chain`` grows the symmetric-Wold image
+chain by one row-space SVD of (I - P_K) F C per round over the basis C of
+the coefficients not yet found, cut at ``rank_tol``, and
+``svd_window_compress`` spans the window rows of a frame with one SVD.
 """
 
 import numpy as np
 
-from relcalc import DEFAULT_TOL, Relation, Subspace
-from relcalc.subspace import _kernel, _orthonormal_columns
+from relcalc import DEFAULT_TOL, Relation, Subspace, z_transform
+from relcalc.decompose import _invariant_hull
+from relcalc.subspace import _kernel, _orthonormal_columns, _right_singular_split
 
 
 def projector_gap(a, b):
@@ -123,3 +127,34 @@ def one_step_unitary_hull(matrix, cfg=DEFAULT_TOL):
             return k_perp, steps
         k_perp = grown
     raise AssertionError("reference hull did not stabilize")
+
+
+def row_space_image_chain(relation, cfg=DEFAULT_TOL):
+    """K of ``symmetric_wold_decompose`` and its hull rounds, each round
+    re-factoring the residual of every coefficient not yet found."""
+    transform = z_transform(relation, 1j, cfg)
+    wandering = relation.adjoint().deficiency(-1j, cfg).dom(cfg)
+    f, g = transform.F, transform.G
+    unfound = np.eye(g.shape[1], dtype=complex)
+
+    def images_of(frame, added):
+        nonlocal unfound
+        off = f @ unfound
+        off = off - frame @ (frame.conj().T @ off)
+        _, v, r = _right_singular_split(off, cfg.rank_tol, scale=1.0)
+        images = g @ (unfound @ v[:, r:])
+        unfound = unfound @ v[:, :r]
+        return images
+
+    frame, rounds = _invariant_hull(wandering.frame, images_of, cfg)
+    return Subspace(frame), rounds
+
+
+def svd_window_compress(obj, w, cfg=DEFAULT_TOL):
+    """Window compression of a subspace or relation of the shift model from
+    one SVD of the kept rows, cut at ``rank_tol`` on an absolute scale."""
+    wd = w.window_dim
+    if isinstance(obj, Relation):
+        stack = np.vstack([obj.F[:wd], obj.G[:wd]])
+        return Relation(Subspace(_orthonormal_columns(stack, cfg.rank_tol, scale=1.0)))
+    return Subspace(_orthonormal_columns(obj.frame[:wd], cfg.rank_tol, scale=1.0))

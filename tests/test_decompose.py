@@ -22,7 +22,8 @@ from relcalc import (
 )
 
 import gen
-from reference import defect_kernel_unitary_part, one_step_unitary_hull
+from probes import record_chain_rounds
+from reference import defect_kernel_unitary_part, one_step_unitary_hull, row_space_image_chain
 
 
 # -- maximalization -----------------------------------------------------
@@ -445,6 +446,80 @@ def test_symmetric_wold_chain_matches_one_step_chain(rng):
         assert result.iterations == iterations_ref
         if planted is not None:
             assert result.k.gap(planted) < DEFAULT_TOL.gap_tol
+
+
+def _assert_matches_row_space_chain(a, cfg=DEFAULT_TOL):
+    result = symmetric_wold_decompose(a, cfg, require_maximal=False)
+    k_ref, rounds_ref = row_space_image_chain(a, cfg)
+    assert result.k.dim == k_ref.dim
+    assert result.iterations == rounds_ref
+    assert result.k.gap(k_ref) < 1e-12
+    return result
+
+
+def test_image_chain_matches_row_space_reference(rng):
+    for _ in range(60):
+        chains = [int(k) for k in rng.integers(1, 6, size=rng.integers(1, 4))]
+        _assert_matches_row_space_chain(
+            gen.random_shift_symmetric(rng, chains, int(rng.integers(0, 3)))[0])
+    for _ in range(60):
+        _assert_matches_row_space_chain(gen.random_symmetric(rng, int(rng.integers(2, 9))))
+    for n in (16, 32, 64, 128):
+        result = _assert_matches_row_space_chain(build_multivalued_extension(WindowConfig(n=n)))
+        assert result.k.dim == n - 1 and result.iterations == n - 1
+
+
+@pytest.mark.parametrize("sine", [0.5e-10, 0.9e-10, 1.2e-10, 1.5e-10, 3e-10])
+def test_image_chain_planted_sine_at_the_cut(rng, sine):
+    # The transform is isometric, so a unit coefficient has |Fc| = 1/sqrt(2):
+    # the residual cut at rank_tol is a sine cut at sqrt(2) * rank_tol.
+    # Reading x as found lets the chain reach a3 and e, the whole space.
+    a, first_three = gen.planted_sine_symmetric(rng, sine)
+    result = _assert_matches_row_space_chain(a)
+    if sine <= np.sqrt(2) * DEFAULT_TOL.rank_tol:
+        assert result.k.dim == 5
+    else:
+        assert result.k.dim == 3
+        assert result.k.gap(first_three) < 1e-12
+
+
+def test_image_chain_oblique_steps(rng, monkeypatch):
+    # Steps that leave from a tilted vector are touched, but not found, one
+    # round before their last direction arrives.  Sines above 1/sqrt(2)
+    # keep them among the carried coefficients, smaller ones move them to
+    # the coefficients that are split again every round.
+    rounds = record_chain_rounds(monkeypatch)
+    for low, high in ((0.75, 0.95), (1e-2, 0.6)):
+        for _ in range(20):
+            lengths = [int(k) for k in rng.integers(2, 6, size=rng.integers(2, 4))]
+            sines = rng.uniform(low, high, size=len(lengths) - 1)
+            a, chains = gen.oblique_step_symmetric(rng, lengths, sines, int(rng.integers(0, 3)))
+            result = _assert_matches_row_space_chain(a)
+            assert result.k.gap(chains) < 1e-12
+    splits = [split for r in rounds for split in r["splits"]]
+    carried = [c for c, _, _ in splits]
+    rereads = [r for _, r, _ in splits]
+    assert max(carried) > 0 and max(rereads) > 0
+
+
+def test_image_chain_small_sines_are_read_again(rng, monkeypatch):
+    # A step at a sine near 1e-7 has a residual direction that rounding
+    # blurs by eps / 1e-7, above the cut; the chain re-reads it from F
+    # instead of carrying it, and agrees with the reference.
+    rounds = record_chain_rounds(monkeypatch)
+    for sine in 10 ** rng.uniform(-7.5, -6.5, size=6):
+        a, first_three = gen.planted_sine_symmetric(rng, sine)
+        result = _assert_matches_row_space_chain(a)
+        assert result.k.gap(first_three) < 1e-12
+    assert any(r > 0 for rnd in rounds for _, r, _ in rnd["splits"])
+
+
+def test_image_chain_without_rank_cut_returns():
+    # With rank_tol = 0 only exact zeros are found; the chain still ends.
+    w = WindowConfig(n=16)
+    result = symmetric_wold_decompose(
+        build_multivalued_extension(w), ToleranceConfig(rank_tol=0.0), require_maximal=False)
+    assert result.k.ambient_dim == 16
 
 
 # -- von Neumann formula ---------------------------------------------------

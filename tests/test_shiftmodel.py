@@ -26,7 +26,9 @@ from relcalc import (
 )
 from relcalc import shiftmodel
 
-from reference import loop_elementary_symmetric, loop_shift
+import gen
+from probes import record_chain_rounds, record_factorizations
+from reference import loop_elementary_symmetric, loop_shift, svd_window_compress
 
 W16 = WindowConfig(n=16, margin=4)
 
@@ -269,3 +271,133 @@ def test_shift_example_work(monkeypatch):
 
     symmetric_wold_decompose(build_multivalued_extension(W16), require_maximal=False)
     assert counts["classify"] == 0
+
+
+def test_image_chain_and_window_work(monkeypatch):
+    # After its first round, the image chain factors nothing wider than the
+    # k columns each round added, and window compression nothing larger
+    # than its dropped rows (2 * margin for a relation, margin for a
+    # subspace): no SVD of the whole N x r residual per round, and none of
+    # the whole window frame.
+    w = WindowConfig(n=64)
+    ext = build_multivalued_extension(w)
+    rounds = record_chain_rounds(monkeypatch)
+    result = symmetric_wold_decompose(ext, require_maximal=False)
+    monkeypatch.undo()
+
+    assert len(rounds) == result.iterations - 1 == w.n - 2
+    for r in rounds:
+        assert r["shapes"] and all(min(shape) <= r["added"] for shape in r["shapes"])
+
+    for obj, dropped in ((ext, 2 * w.margin), (result.k, w.margin)):
+        shapes = []
+        record_factorizations(monkeypatch, shapes.append)
+        window_compress(obj, w)
+        monkeypatch.undo()
+        assert shapes and all(min(shape) <= dropped for shape in shapes)
+
+
+def _assert_window_compress_matches_svd(obj, w):
+    fast = window_compress(obj, w)
+    slow = svd_window_compress(obj, w)
+    fast_frame = fast.graph.frame if isinstance(obj, Relation) else fast.frame
+    slow_frame = slow.graph.frame if isinstance(obj, Relation) else slow.frame
+    assert fast_frame.shape == slow_frame.shape
+    assert np.abs(fast_frame.conj().T @ fast_frame - np.eye(fast_frame.shape[1])).max(initial=0.0) < 1e-12
+    assert fast.gap(slow) < 1e-12
+    return fast
+
+
+def test_window_compress_matches_svd_reference(rng):
+    for _ in range(40):
+        n = int(rng.integers(8, 40))
+        w = WindowConfig(n=n, margin=int(rng.integers(2, n)))
+        _assert_window_compress_matches_svd(gen.random_subspace(rng, n), w)
+        _assert_window_compress_matches_svd(gen.random_relation(rng, n), w)
+    # the shift relations at every margin of test_window_exactness_is_monotone
+    for n in (16, 32, 64):
+        shift_relations = [build_shift(WindowConfig(n=n)),
+                           build_elementary_symmetric(WindowConfig(n=n)),
+                           build_multivalued_extension(WindowConfig(n=n))]
+        for margin in range(2, n - 11):
+            w = WindowConfig(n=n, margin=margin)
+            for relation in shift_relations:
+                _assert_window_compress_matches_svd(relation, w)
+
+
+def _planted_window_frame(rng, kept, dropped, mixed):
+    """Orthonormal 16 x 5 frame whose first column has ``kept`` in the kept
+    rows and ``dropped`` in the dropped rows (margin 4), and whose other
+    columns lie in the kept rows; ``mixed`` rotates the kept rows, the
+    dropped rows and the columns at random."""
+    frame = np.zeros((16, 5), dtype=complex)
+    frame[0, 0], frame[12, 0] = kept, dropped
+    frame[1:5, 1:5] = np.eye(4)
+    if mixed:
+        frame[:12] = gen.random_unitary(rng, 12) @ frame[:12]
+        frame[12:] = gen.random_unitary(rng, 4) @ frame[12:]
+        frame = frame @ gen.random_unitary(rng, 5)
+    return Subspace(frame)
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.9, 1.1, 2.0])
+def test_window_compress_rank_at_the_cut(rng, scale):
+    # The kept rows' smallest singular value sits next to rank_tol: both
+    # compressions keep its direction exactly when it is above the cut.
+    # Basis-aligned frames agree to rounding; for rotated ones that
+    # direction is only determined to eps / singular value (any SVD-based
+    # answer is), so there only the rank and that bound are checked.
+    w = WindowConfig(n=16, margin=4)
+    kept = scale * 1e-10
+    expected = 5 if kept > 1e-10 else 4
+    aligned = _planted_window_frame(rng, kept, np.sqrt(1 - kept**2), mixed=False)
+    assert _assert_window_compress_matches_svd(aligned, w).dim == expected
+    for _ in range(5):
+        mixed = _planted_window_frame(rng, kept, np.sqrt(1 - kept**2), mixed=True)
+        fast, slow = window_compress(mixed, w), svd_window_compress(mixed, w)
+        assert fast.dim == slow.dim == expected
+        exact = Subspace.span(mixed.frame[:12], ambient_dim=12, scale=1.0)
+        assert fast.gap(exact) < 100 * np.finfo(float).eps / kept
+
+
+def _assert_rank_read_as_svd(obj, w, frame_error):
+    fast, slow = window_compress(obj, w), svd_window_compress(obj, w)
+    if isinstance(obj, Relation):
+        fast, slow = fast.graph, slow.graph
+    assert fast.dim == slow.dim
+    assert fast.gap(slow) < 10 * frame_error + 1e-12
+    return fast
+
+
+def test_window_compress_nearly_orthonormal_frames(rng):
+    # Subspace accepts frames orthonormal to _FRAME_ATOL, not to rounding:
+    # the kept rows' rank must still be the SVD's.  In [e12, e0 + d e12]
+    # (margin 4) both columns keep only e0, so the span is one-dimensional.
+    w = WindowConfig(n=16, margin=4)
+    delta = 1e-9
+    e = np.eye(32, dtype=complex)
+    for extra in (0, 4):  # with 4 more columns some are left unmoved
+        cols = [e[12], e[0] + delta * e[12]] + [e[j] for j in range(1, 1 + extra)]
+        frame = np.array(cols).T
+        assert _assert_rank_read_as_svd(Subspace(frame[:16]), w, delta).dim == 1 + extra
+        assert _assert_rank_read_as_svd(Relation(Subspace(frame)), w, delta).dim == 1 + extra
+    for _ in range(20):
+        n = int(rng.integers(8, 40))
+        w = WindowConfig(n=n, margin=int(rng.integers(2, n)))
+        for obj in (gen.random_subspace(rng, n), gen.random_relation(rng, n)):
+            sub = obj.graph if isinstance(obj, Relation) else obj
+            noise = rng.standard_normal(sub.frame.shape) + 1j * rng.standard_normal(sub.frame.shape)
+            frame = sub.frame + 1e-10 * noise
+            error = np.abs(frame.conj().T @ frame - np.eye(frame.shape[1])).max(initial=0.0)
+            bent = Subspace(frame)
+            _assert_rank_read_as_svd(Relation(bent) if isinstance(obj, Relation) else bent, w, error)
+
+
+@pytest.mark.parametrize("dropped", [0.5e-10, 1e-10, 2e-10])
+def test_window_compress_small_dropped_rows(rng, dropped):
+    # Dropped rows of norm near rank_tol leave every kept singular value at
+    # 1 to rounding: nothing is cut, and the frames agree to rounding.
+    w = WindowConfig(n=16, margin=4)
+    for mixed in (False, True, True, True):
+        frame = _planted_window_frame(rng, np.sqrt(1 - dropped**2), dropped, mixed)
+        assert _assert_window_compress_matches_svd(frame, w).dim == 5

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relcalc
-from relcalc import Subspace, ToleranceConfig, orthonormalize
+from relcalc import Subspace, ToleranceConfig
 from relcalc.subspace import _orthonormal_columns
 
 import gen
@@ -20,7 +20,7 @@ PLANTED_ANGLES = [0.5e-10, 0.9e-10, 1.2e-10, 1.35e-10, 1.5e-10, 3e-10]
 
 
 def test_standard_basis_spans_full_space():
-    s = orthonormalize([np.array([1, 0]), np.array([0, 1])])
+    s = Subspace.span([np.array([1, 0]), np.array([0, 1])])
     assert s.dim == 2
     assert s.gap(Subspace.full(2)) < 1e-12
 
@@ -29,30 +29,30 @@ def test_near_duplicate_direction_collapses():
     vectors = [np.array([1.0, 0.0]), np.array([1.0, 1e-14])]
     # independent rank oracle on the stacked generators
     assert np.linalg.matrix_rank(np.column_stack(vectors), tol=1e-10) == 1
-    s = orthonormalize(vectors, ToleranceConfig(rank_tol=1e-10))
+    s = Subspace.span(vectors, ToleranceConfig(rank_tol=1e-10))
     assert s.dim == 1
     assert s.gap(Subspace.from_basis_indices(2, [0])) < 1e-10
 
 
 def test_zero_vector_spans_zero_subspace():
-    s = orthonormalize([np.zeros(3)])
+    s = Subspace.span([np.zeros(3)])
     assert s.dim == 0
     assert s.gap(Subspace.zero(3)) == 0.0
 
 
 def test_empty_family_needs_ambient():
     with pytest.raises(ValueError):
-        orthonormalize([])
-    assert orthonormalize([], ambient_dim=4).dim == 0
+        Subspace.span([])
+    assert Subspace.span([], ambient_dim=4).dim == 0
 
 
 def test_mismatched_vector_lengths_rejected():
     with pytest.raises(ValueError):
-        orthonormalize([np.zeros(2), np.zeros(3)])
+        Subspace.span([np.zeros(2), np.zeros(3)])
 
 
 def test_zero_ambient_dimension_allowed():
-    s = orthonormalize([], ambient_dim=0)
+    s = Subspace.span([], ambient_dim=0)
     assert s.ambient_dim == 0 and s.dim == 0
     assert s.gap(Subspace.zero(0)) == 0.0
 
@@ -86,7 +86,7 @@ def test_tolerances_must_be_finite_and_nonnegative(field, bad):
 
 def test_intersect_examples():
     e1 = Subspace.from_basis_indices(2, [0])
-    diag = orthonormalize([np.array([1.0, 1.0])])
+    diag = Subspace.span([np.array([1.0, 1.0])])
     assert e1.intersect(diag).dim == 0
     assert Subspace.full(2).intersect(e1).gap(e1) < 1e-12
 
@@ -208,7 +208,7 @@ def test_sum_planted_angle_matches_reference(rng, theta):
 def test_sum_rank_oracle():
     vectors = [np.array([1.0, 0.0]), np.array([1.0, 1.0])]
     assert np.linalg.matrix_rank(np.column_stack(vectors)) == 2
-    s = orthonormalize([vectors[0]]).sum(orthonormalize([vectors[1]]))
+    s = Subspace.span([vectors[0]]).sum(Subspace.span([vectors[1]]))
     assert s.gap(Subspace.full(2)) < 1e-12
 
 
@@ -298,15 +298,15 @@ def test_modular_law(rng):
 
 def test_orthonormalize_deterministic(rng):
     mat = gen.complex_matrix(rng, 5, 3)
-    first = orthonormalize(mat, ambient_dim=5)
-    second = orthonormalize(mat.copy(), ambient_dim=5)
+    first = Subspace.span(mat, ambient_dim=5)
+    second = Subspace.span(mat.copy(), ambient_dim=5)
     assert np.array_equal(first.frame, second.frame)
 
 
 def test_orthonormalize_pivot_tie_breaking():
     # equal-norm columns: the singular values tie, and the SVD frame of the
     # already orthonormal pair is the pair itself, lowest index first
-    s = orthonormalize([np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])])
+    s = Subspace.span([np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])])
     assert s.dim == 2
     assert abs(abs(s.frame[0, 0]) - 1.0) < 1e-12
     assert abs(s.frame[1, 0]) < 1e-12
@@ -315,7 +315,7 @@ def test_orthonormalize_pivot_tie_breaking():
 def test_orthonormalize_idempotent(rng):
     for _ in range(20):
         a = gen.random_subspace(rng, 6)
-        again = orthonormalize(a.frame, ambient_dim=6)
+        again = Subspace.span(a.frame, ambient_dim=6)
         assert again.gap(a) < CFG.gap_tol
 
 
@@ -330,7 +330,7 @@ def test_project():
 def test_direct_sum_check():
     e1 = Subspace.from_basis_indices(3, [0])
     e2 = Subspace.from_basis_indices(3, [1])
-    diag = orthonormalize([np.array([1.0, 1.0, 0.0])])
+    diag = Subspace.span([np.array([1.0, 1.0, 0.0])])
     assert e1.direct_sum_check(e2)
     assert not e1.direct_sum_check(diag)
 
