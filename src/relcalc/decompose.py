@@ -33,10 +33,13 @@ from .relation import (
     Relation,
     _contraction_form,
     _dissipation_form,
+    _dom_dim,
     _is_symmetric,
     _max_abs_eig,
     _min_eig,
-    _shifted_range,
+    _mul_dim,
+    _ran_dim,
+    _shifted_range_dim,
     operator_matrix,
 )
 from .subspace import (
@@ -103,9 +106,9 @@ def maximalize_contraction(relation: Relation,
     """
     if _min_eig(_contraction_form(relation)[0]) < -cfg.psd_tol:
         raise ValueError("relation is not a contraction")
-    pad = relation.dom(cfg).complement()
-    if pad.dim == 0:
+    if _dom_dim(relation, cfg) == relation.n:
         return relation
+    pad = relation.dom(cfg).complement()
     w_frame = np.vstack([pad.frame, np.zeros_like(pad.frame)])
     return Relation(relation.graph.sum(Subspace(w_frame), cfg))
 
@@ -128,15 +131,15 @@ def _invariant_hull(frame: np.ndarray, images_of, cfg: ToleranceConfig):
             return frame, rounds
         images = images_of(frame, added)
         for _pass in range(2):  # Gram-Schmidt twice is enough against the frame
-            images = images - frame @ (frame.conj().T @ images)
+            images = _residual(frame, images)
         added = _orthonormal_columns(images, cfg.rank_tol, scale=1.0)
         if added.shape[1] == 0:
             return frame, rounds
         frame = np.hstack([frame, added])
 
 
-def _unitary_part(relation: Relation, cfg: ToleranceConfig):
-    """Largest reducing subspace on which a closed contraction is unitary,
+def _nonunitary_hull(relation: Relation, cfg: ToleranceConfig):
+    """Frame of the complement of the unitary part of a closed contraction,
     and the number of hull rounds that found it.
 
     The contraction is padded to an everywhere-defined matrix V first.
@@ -148,12 +151,24 @@ def _unitary_part(relation: Relation, cfg: ToleranceConfig):
     matrix_h = matrix.conj().T
     eye = np.eye(matrix.shape[0])
     defects = np.hstack([eye - matrix_h @ matrix, eye - matrix @ matrix_h])
-    frame, rounds = _invariant_hull(
+    return _invariant_hull(
         _orthonormal_columns(defects, cfg.rank_tol, scale=1.0),
         lambda frame, added: np.hstack([matrix @ added, matrix_h @ added]),
         cfg,
     )
+
+
+def _unitary_part(relation: Relation, cfg: ToleranceConfig):
+    """Largest reducing subspace on which a closed contraction is unitary,
+    and the number of hull rounds that found it."""
+    frame, rounds = _nonunitary_hull(relation, cfg)
     return Subspace(frame).complement(), rounds
+
+
+def _unitary_dim(relation: Relation, cfg: ToleranceConfig) -> float:
+    """Dimension of the unitary part, read from its complement's frame."""
+    frame = _nonunitary_hull(relation, cfg)[0]
+    return float(frame.shape[0] - frame.shape[1])
 
 
 def unitary_part_subspace(relation: Relation,
@@ -169,7 +184,7 @@ def _unitary_within(relation: Relation, space: Subspace, cfg: ToleranceConfig):
     deviation."""
     part = compress(relation, space, cfg)
     iso_dev = _max_abs_eig(_contraction_form(part)[0])
-    full = part.dom(cfg).dim == part.n and part.ran(cfg).dim == part.n
+    full = _dom_dim(part, cfg) == part.n and _ran_dim(part, cfg) == part.n
     return iso_dev <= cfg.psd_tol and full, iso_dev
 
 
@@ -187,7 +202,7 @@ def nfl_decompose(relation: Relation,
     k_perp = k.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     k_unitary, iso_dev = _unitary_within(part_k, k, cfg)
-    cnu_dim = float(_unitary_part(compress(part_p, k_perp, cfg), cfg)[0].dim)
+    cnu_dim = _unitary_dim(compress(part_p, k_perp, cfg), cfg)
     # The padding never meets K, so the unitary part sits inside dom V.
     r_dom = 0.0 if relation.dom(cfg).contains(k, cfg) else 1.0
 
@@ -213,7 +228,7 @@ def wold_decompose(relation: Relation,
     already fills the space is not measured.
     """
     if (_max_abs_eig(_contraction_form(relation)[0]) > cfg.psd_tol
-            or relation.dom(cfg).dim != relation.n):
+            or _dom_dim(relation, cfg) != relation.n):
         raise ValueError("relation is not an everywhere-defined isometry")
     matrix = operator_matrix(relation, cfg)
     n = relation.n
@@ -276,8 +291,8 @@ def dissipative_decompose(relation: Relation,
     k_perp = k.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     r_sa = _selfadjoint_within_gap(part_k, k, cfg)
-    mul_dim = float(part_p.mul(cfg).dim)
-    cns_dim = float(_unitary_part(z_transform(compress(part_p, k_perp, cfg), 1j, cfg), cfg)[0].dim)
+    mul_dim = float(_mul_dim(part_p, cfg))
+    cns_dim = _unitary_dim(z_transform(compress(part_p, k_perp, cfg), 1j, cfg), cfg)
 
     certificates = (
         Certificate("reducing", r_red < cfg.gap_tol, r_red, cfg.gap_tol),
@@ -355,13 +370,21 @@ def symmetric_wold_decompose(relation: Relation,
     N x r residual (see ``_chain_step``).
     ``iterations`` counts the steps of the one-step chain K_j + image(K_j).
     """
+    return _symmetric_wold(relation, cfg, require_maximal)
+
+
+def _symmetric_wold(relation: Relation, cfg: ToleranceConfig, require_maximal: bool,
+                    adjoint: Relation | None = None) -> DecompositionResult:
+    """``symmetric_wold_decompose``, taking the relation's adjoint from a
+    caller that already holds it."""
     if not _is_symmetric(relation, cfg):
         raise ValueError("relation is not symmetric")
-    if require_maximal and _shifted_range(relation, cfg).dim != relation.n:
+    if require_maximal and _shifted_range_dim(relation, cfg) != relation.n:
         raise ValueError("relation is not maximal (the range of T + iI is a proper subspace)")
-
+    if adjoint is None:
+        adjoint = relation.adjoint()
     transform = z_transform(relation, 1j, cfg)
-    wandering = relation.adjoint().deficiency(-1j, cfg).dom(cfg)
+    wandering = adjoint.deficiency(-1j, cfg).dom(cfg)
 
     f, g = transform.F, transform.G
     # Unfound coefficients: carried ones (P) and ones read again (D).
@@ -383,8 +406,8 @@ def symmetric_wold_decompose(relation: Relation,
         sym_dev = _max_abs_eig(_dissipation_form(within)[0])
         shift = z_transform(within, 1j, cfg)
         iso_dev = _max_abs_eig(_contraction_form(shift)[0])
-        dom_codim = float(k.dim - shift.dom(cfg).dim)
-        unit_dim = float(_unitary_part(shift, cfg)[0].dim)
+        dom_codim = float(k.dim - _dom_dim(shift, cfg))
+        unit_dim = _unitary_dim(shift, cfg)
     else:
         iso_dev = dom_codim = unit_dim = sym_dev = 0.0
 
@@ -416,6 +439,6 @@ def von_neumann_check(relation: Relation,
     dims_ok = total.dim == relation.graph.dim + def_plus.graph.dim + def_minus.graph.dim
     sum_ok = total.gap(adj.graph) < cfg.gap_tol
     ortho_ok = True
-    if _shifted_range(relation, cfg).dim == relation.n:
+    if _shifted_range_dim(relation, cfg) == relation.n:
         ortho_ok = relation.graph.is_orthogonal_to(def_minus.graph, cfg)
     return dims_ok and sum_ok and ortho_ok

@@ -90,13 +90,19 @@ def orthogonal_relation_sum(first: Relation, second: Relation,
 
 def compress(relation: Relation, k: Subspace,
              cfg: ToleranceConfig = DEFAULT_TOL) -> Relation:
-    """Rewrite a relation with graph inside K (+) K in coordinates of K."""
+    """Rewrite a relation with graph inside K (+) K in coordinates of K.
+
+    The containment check measures the residual delta of the graph frame
+    against K (+) K, below gap_tol < 1.  So the coordinates of the frame
+    in K have Gram error delta^2 (plus the input frame's own) and singular
+    values of at least sqrt(1 - delta^2): they have full column rank, and
+    one Householder QR orthonormalizes them with no rank read.
+    """
     if not doubled(k).contains(relation.graph, cfg):
         raise ValueError("graph is not contained in the doubled subspace")
-    q = k.frame
-    f = q.conj().T @ relation.F
-    g = q.conj().T @ relation.G
-    return Relation(Subspace.span(np.vstack([f, g]), cfg, ambient_dim=2 * k.dim, scale=1.0))
+    qh = k.frame.conj().T
+    coords = np.vstack([qh @ relation.F, qh @ relation.G])
+    return Relation(Subspace(np.linalg.qr(coords)[0]))
 
 
 def embed(relation: Relation, k: Subspace) -> Relation:

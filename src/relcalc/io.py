@@ -19,7 +19,7 @@ import numpy as np
 
 from .decompose import DecompositionResult
 from .invariance import ReductionReport
-from .relation import ClassificationReport, Relation, classify
+from .relation import ClassificationReport, Relation, _dom_dim, _ran_dim, classify
 from .subspace import DEFAULT_TOL, Subspace, ToleranceConfig
 
 __all__ = [
@@ -123,7 +123,10 @@ def _decode_tolerances(doc: dict) -> ToleranceConfig | None:
     unknown = set(raw) - set(names)
     if unknown:
         raise DocumentError(f"tolerances: unknown keys {sorted(unknown)}")
-    return ToleranceConfig(**kwargs)
+    try:
+        return ToleranceConfig(**kwargs)
+    except ValueError as exc:  # its messages start with the field name
+        raise DocumentError(f"tolerances.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -233,13 +236,16 @@ def _flags_dict(report: ClassificationReport) -> dict:
 
 
 def _part_summary(relation: Relation, cfg: ToleranceConfig) -> dict:
-    parts = relation.graph_parts(cfg)
+    """The dimensions of the four graph parts, as ranks of the blocks of the
+    orthonormal graph frame (see ``relation._mul_dim``)."""
+    graph_dim = relation.graph.dim
+    dom_dim, ran_dim = _dom_dim(relation, cfg), _ran_dim(relation, cfg)
     return {
-        "graph_dim": relation.graph.dim,
-        "dom_dim": parts.dom.dim,
-        "ran_dim": parts.ran.dim,
-        "ker_dim": parts.ker.dim,
-        "mul_dim": parts.mul.dim,
+        "graph_dim": graph_dim,
+        "dom_dim": dom_dim,
+        "ran_dim": ran_dim,
+        "ker_dim": graph_dim - ran_dim,
+        "mul_dim": graph_dim - dom_dim,
     }
 
 

@@ -23,6 +23,7 @@ from .subspace import (
     ToleranceConfig,
     _complement_frame,
     _kernel,
+    _rank_of,
     _residual,
     _shared_coefficients,
 )
@@ -330,14 +331,36 @@ def doubled(space: Subspace) -> Subspace:
     return Subspace(frame)
 
 
+def _dom_dim(relation: Relation, cfg: ToleranceConfig) -> int:
+    """dim dom T, read as ``dom`` reads it (the rank of F) from the
+    singular values alone."""
+    return _rank_of(relation.F, cfg.rank_tol, scale=1.0)
+
+
+def _ran_dim(relation: Relation, cfg: ToleranceConfig) -> int:
+    """dim ran T, read as ``ran`` reads it (the rank of G) from the
+    singular values alone."""
+    return _rank_of(relation.G, cfg.rank_tol, scale=1.0)
+
+
+def _mul_dim(relation: Relation, cfg: ToleranceConfig) -> int:
+    """dim mul T.  The graph frame [F; G] is orthonormal, so G maps the
+    kernel of F (unit c with |Fc| <= rank_tol) to vectors of norm at least
+    sqrt(1 - rank_tol^2), which ``mul`` never cuts: its dimension is the
+    graph dimension less the rank of F.  (Likewise dim ker T is the graph
+    dimension less the rank of G.)"""
+    return relation.graph.dim - _dom_dim(relation, cfg)
+
+
 def operator_matrix(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Matrix of an everywhere-defined operator relation.
 
-    Requires mul T = {0} and dom T = C^n; then the graph frame's top block
-    is square and invertible and the matrix is G F^{-1}.
+    Requires mul T = {0} and dom T = C^n; for an n-dimensional graph both
+    say that the square top block F has rank n, and then the matrix is
+    G F^{-1}.
     """
     n = relation.n
-    if relation.graph.dim != n or relation.mul(cfg).dim != 0 or relation.dom(cfg).dim != n:
+    if relation.graph.dim != n or _dom_dim(relation, cfg) != n:
         raise ValueError("relation is not an everywhere-defined operator")
     return np.linalg.solve(relation.F.T, relation.G.T).T
 
@@ -375,9 +398,22 @@ def _is_symmetric(relation: Relation, cfg: ToleranceConfig) -> bool:
     return _max_abs_eig(_dissipation_form(relation)[0]) <= cfg.psd_tol
 
 
-def _shifted_range(relation: Relation, cfg: ToleranceConfig) -> Subspace:
-    """ran(T + iI); for dissipative T it is C^n exactly when T is maximal."""
-    return Subspace.span(relation.G + 1j * relation.F, cfg, ambient_dim=relation.n, scale=1.0)
+def _shifted_range_dim(relation: Relation, cfg: ToleranceConfig) -> int:
+    """dim ran(T + iI), the rank of G + iF read from its singular values;
+    for dissipative T it is n exactly when T is maximal."""
+    return _rank_of(relation.G + 1j * relation.F, cfg.rank_tol, scale=1.0)
+
+
+def _deficiency_dim(relation: Relation, zeta: complex, cfg: ToleranceConfig) -> int:
+    """dim ker(T - zeta*I) as ``deficiency`` decides it, without its frame:
+    the graph coefficients whose sine (G - zeta*F) c / sqrt(1 + |zeta|^2)
+    is at or below the cut sqrt(2) * rank_tol, counted from the singular
+    values alone.  It equals ``deficiency(zeta).dom().dim`` while the
+    f-parts of the deficiency pairs, of norm 1/sqrt(1 + |zeta|^2), stay
+    above rank_tol; for |zeta| near 1/rank_tol the ``dom`` span drops them."""
+    zc = _finite_zeta(zeta)
+    sines = (relation.G - zc * relation.F) / np.sqrt(1.0 + abs(zc) ** 2)
+    return relation.graph.dim - _rank_of(sines, np.sqrt(2) * cfg.rank_tol, scale=1.0)
 
 
 def classify(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> ClassificationReport:
@@ -401,19 +437,19 @@ def classify(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> Classifi
     is_contraction = contr_min >= -cfg.psd_tol
     is_isometry = iso_dev <= cfg.psd_tol
 
-    parts = relation.graph_parts(cfg)
-    is_operator = parts.mul.dim == 0
+    dom_dim = _dom_dim(relation, cfg)
+    is_operator = dom_dim == relation.graph.dim  # mul T = {0}; see _mul_dim
 
     adj = relation.adjoint()
     sa_gap = relation.graph.gap(adj.graph)
     is_selfadjoint = sa_gap < cfg.gap_tol
 
-    is_unitary = is_isometry and parts.dom.dim == n and parts.ran.dim == n
+    is_unitary = is_isometry and dom_dim == n and _ran_dim(relation, cfg) == n
 
     # For dissipative T the map (f, g) -> g + i f is isometric-or-expanding
     # on the graph, so the range dimension equals the graph dimension.
-    ran_shift = _shifted_range(relation, cfg)
-    is_maximal_dissipative = is_dissipative and ran_shift.dim == n
+    ran_shift_dim = _shifted_range_dim(relation, cfg)
+    is_maximal_dissipative = is_dissipative and ran_shift_dim == n
 
     witness = None
     if not is_dissipative:
@@ -437,7 +473,7 @@ def classify(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> Classifi
             "contraction_min_eig": contr_min,
             "isometry_deviation": iso_dev,
             "selfadjoint_gap": sa_gap,
-            "shifted_range_codim": float(n - ran_shift.dim),
+            "shifted_range_codim": float(n - ran_shift_dim),
         },
     )
 
@@ -454,8 +490,6 @@ def classify_point(relation: Relation, zeta: complex,
         return SpectralPointClass.POINT
     zc = complex(zeta)
     shifted = relation.G - zc * relation.F
-    scale = max(1.0, abs(zc))
-    ran_dim = Subspace.span(shifted, cfg, ambient_dim=relation.n, scale=scale).dim
-    if ran_dim == relation.n:
+    if _rank_of(shifted, cfg.rank_tol, scale=max(1.0, abs(zc))) == relation.n:
         return SpectralPointClass.REGULAR
     return SpectralPointClass.RESIDUAL

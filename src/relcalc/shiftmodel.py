@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import symmetric_wold_decompose
+from .decompose import _symmetric_wold
 from .invariance import adjoint_within, orthogonal_relation_sum
-from .relation import Relation, _is_symmetric
+from .relation import Relation, _deficiency_dim, _dom_dim, _is_symmetric, _mul_dim
 from .subspace import (
     DEFAULT_TOL,
     Certificate,
@@ -228,11 +228,13 @@ def spectral_window_probe(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -
 def _window_probe(w: WindowConfig, op: Relation, adj: Relation, minus_i_kernel: Subspace,
                   cfg: ToleranceConfig) -> SpectralProbe:
     """The probe of the symmetric operator ``op``, given its adjoint and
-    the adjoint's kernel at -i."""
+    the adjoint's kernel at -i.  Kernel dimensions are counted from
+    singular values alone (``_deficiency_dim``); at the sampled |zeta| <= 2
+    they are the dimensions of the deficiency spaces' domains."""
     samples = [1j, -1j, 0.0, 1.0, 1.0 + 1j]
     kernel_dims = {}
     for zeta in samples:
-        kernel_dims[str(complex(zeta))] = op.deficiency(zeta, cfg).dom(cfg).dim
+        kernel_dims[str(complex(zeta))] = _deficiency_dim(op, zeta, cfg)
 
     probe = delta_span(w, [1])
     residual = _norm2(_residual(minus_i_kernel.frame, probe.frame))
@@ -240,7 +242,7 @@ def _window_probe(w: WindowConfig, op: Relation, adj: Relation, minus_i_kernel: 
     lower_samples = [-1j, -2j, 1.0 - 1j, -0.5 - 0.5j]
     adjoint_dims = {}
     for zeta in lower_samples:
-        adjoint_dims[str(complex(zeta))] = adj.deficiency(np.conj(zeta), cfg).dom(cfg).dim
+        adjoint_dims[str(complex(zeta))] = _deficiency_dim(adj, np.conj(zeta), cfg)
 
     return SpectralProbe(
         eigenvalue_free=kernel_dims,
@@ -281,6 +283,7 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
     restricted = op.restrict_domain(tail, cfg)
     line = build_multivalued_line(w)
     extension = orthogonal_relation_sum(restricted, line, cfg)
+    extension_adj = extension.adjoint()  # shared with the splitting below
     certificates = []
 
     def cert(name, residual, tolerance):
@@ -318,7 +321,7 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
     cert(
         "adjoint_identity_extension",
         window_gap(
-            extension.adjoint(),
+            extension_adj,
             orthogonal_relation_sum(restricted_plus, line, cfg),
             w,
             cfg,
@@ -348,7 +351,8 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
 
     # The symmetric splitting of the extension.  The truncated extension is
     # not maximal at the edge, which is exactly what the window excludes.
-    result = symmetric_wold_decompose(extension, cfg, require_maximal=False)
+    # This is symmetric_wold_decompose with the adjoint taken above.
+    result = _symmetric_wold(extension, cfg, False, extension_adj)
     cert(
         "splitting_wandering_is_delta2",
         window_gap(result.wandering, window_span(w, [2]), w, cfg),
@@ -378,8 +382,8 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
     ext_mul = extension.mul(cfg)
     model_ok = (
         _is_symmetric(op, cfg)
-        and op.mul(cfg).dim == 0
-        and op.dom(cfg).dim < w.n
+        and _mul_dim(op, cfg) == 0
+        and _dom_dim(op, cfg) < w.n
         and _is_symmetric(extension, cfg)
         and ext_mul.dim > 0
         and ext_mul.gap(delta_span(w, [1])) < cfg.gap_tol

@@ -36,7 +36,9 @@ class ToleranceConfig:
     psd_tol
         Eigenvalue floor for positive-semidefiniteness tests.
     gap_tol
-        Projector-distance threshold below which subspaces are equal.
+        Projector-distance threshold below which subspaces are equal.  It
+        must be below 1: a gap never exceeds 1, so a larger threshold
+        would pass every containment and equality check.
     """
 
     rank_tol: float = 1e-10
@@ -47,6 +49,8 @@ class ToleranceConfig:
         for field in fields(self):
             if not 0 <= getattr(self, field.name) < np.inf:
                 raise ValueError(f"{field.name} must be finite and nonnegative")
+        if not self.gap_tol < 1:
+            raise ValueError("gap_tol must be below 1, the largest possible gap")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -92,6 +96,15 @@ def _rank(singular_values: np.ndarray, rank_tol: float, scale=None) -> int:
     if scale is None:
         scale = singular_values[0] if singular_values[0] > 0 else 1.0
     return int(np.count_nonzero(singular_values > rank_tol * scale))
+
+
+def _rank_of(mat: np.ndarray, rank_tol: float, scale=None) -> int:
+    """Rank of ``mat`` as ``_orthonormal_columns`` reads it, from its
+    singular values alone: for call sites that need a dimension and not
+    a frame."""
+    if mat.size == 0:
+        return 0
+    return _rank(np.linalg.svd(mat, compute_uv=False), rank_tol, scale)
 
 
 def _orthonormal_columns(mat: np.ndarray, rank_tol: float, scale=None) -> np.ndarray:
@@ -152,8 +165,10 @@ def _norm2(mat: np.ndarray) -> float:
 
 
 def _residual(frame: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``(I - P) vectors`` for the projector P onto an orthonormal frame."""
-    return vectors - frame @ (frame.conj().T @ vectors)
+    """``(I - P) vectors`` for the projector P onto an orthonormal frame.
+    Only ``vectors`` and the coefficients are conjugated, so the frame is
+    never copied."""
+    return vectors - frame @ (vectors.conj().T @ frame).conj().T
 
 
 def _reflect_to_front(z: np.ndarray, mat: np.ndarray) -> None:

@@ -26,15 +26,23 @@ def z_transform(relation: Relation, zeta: complex,
 
     The result satisfies dom = ran(T - conj(zeta) I), ran = ran(T - zeta I),
     mul = ker(T - conj(zeta) I) and ker = ker(T - zeta I).
+
+    At zeta = +-i the substitution is sqrt(2) times a unitary map of the
+    doubled space, so it takes the orthonormal graph frame to an
+    orthonormal frame of the image: that frame, divided by sqrt(2), is
+    returned with no factorization and no tolerance read.  At every other
+    zeta the image generators are spanned, with a rank cut at
+    ``rank_tol * max(1, |zeta|^2)``.
     """
     zc = _finite_zeta(zeta)
     f, g = relation.F, relation.G
     top = g - np.conj(zc) * f
     bot = np.conj(zc) * g - (abs(zc) ** 2) * f
-    graph = Subspace.span(
-        np.vstack([top, bot]), cfg, ambient_dim=2 * relation.n, scale=max(1.0, abs(zc) ** 2)
-    )
-    return Relation(graph)
+    image = np.vstack([top, bot])
+    if zc == 1j or zc == -1j:
+        return Relation(Subspace(image / np.sqrt(2)))
+    return Relation(Subspace.span(image, cfg, ambient_dim=2 * relation.n,
+                                  scale=max(1.0, abs(zc) ** 2)))
 
 
 def subspace_fixed_point_check(space: Subspace, zeta: complex,

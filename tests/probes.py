@@ -1,11 +1,12 @@
 """Recorders for the work-count tests.
 
 ``record_factorizations`` passes the shape of every matrix given to
-``np.linalg.svd`` or ``np.linalg.qr`` to a callback.  ``record_chain_rounds``
-records each round of the symmetric-Wold image chain after its first (the
-first has nothing carried yet and factors F once): the number of columns
-the round added, the shapes it factored and the (carried, re-read, found)
-column counts of its splits.
+``np.linalg.svd`` or ``np.linalg.qr`` to a callback, and
+``record_linalg_calls`` lists those calls with whether they form vectors.
+``record_chain_rounds`` records each round of the symmetric-Wold image
+chain after its first (the first has nothing carried yet and factors F
+once): the number of columns the round added, the shapes it factored and
+the (carried, re-read, found) column counts of its splits.
 """
 
 import numpy as np
@@ -13,17 +14,31 @@ import numpy as np
 from relcalc import decompose
 
 
-def record_factorizations(monkeypatch, record):
-    """Pass the shape of every matrix given to np.linalg.svd or .qr to
-    ``record``."""
+def _wrap_factorizations(monkeypatch, record):
+    """Call ``record(name, shape, vectors)`` on every call of np.linalg.svd
+    or .qr; ``vectors`` is False only for an SVD with ``compute_uv=False``."""
     for name in ("svd", "qr"):
         original = getattr(np.linalg, name)
 
-        def recorded(mat, *args, _original=original, **kwargs):
-            record(np.shape(mat))
+        def recorded(mat, *args, _name=name, _original=original, **kwargs):
+            record(_name, np.shape(mat), _name == "qr" or kwargs.get("compute_uv", True))
             return _original(mat, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
+
+
+def record_factorizations(monkeypatch, record):
+    """Pass the shape of every matrix given to np.linalg.svd or .qr to
+    ``record``."""
+    _wrap_factorizations(monkeypatch, lambda _name, shape, _vectors: record(shape))
+
+
+def record_linalg_calls(monkeypatch):
+    """List that fills with (name, shape, vectors) for every call of
+    np.linalg.svd or .qr."""
+    calls = []
+    _wrap_factorizations(monkeypatch, lambda *call: calls.append(call))
+    return calls
 
 
 def record_chain_rounds(monkeypatch):

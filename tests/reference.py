@@ -20,11 +20,19 @@ pair at a time.  ``row_space_image_chain`` grows the symmetric-Wold image
 chain by one row-space SVD of (I - P_K) F C per round over the basis C of
 the coefficients not yet found, cut at ``rank_tol``, and
 ``svd_window_compress`` spans the window rows of a frame with one SVD.
+``span_z_transform`` spans the image generators at every zeta, ±i
+included, and ``span_compress`` spans the coordinates of a graph in K,
+both cut at ``rank_tol`` as the library did before it mapped frames
+without a factorization.  ``span_dims`` reads the dimensions of the four
+graph parts and of ran(T + iI) from the frames that ``dom``, ``ran``,
+``ker``, ``mul`` and a span build, and ``span_rank`` the rank of a matrix
+from its spanned frame.
 """
 
 import numpy as np
 
-from relcalc import DEFAULT_TOL, Relation, Subspace, z_transform
+from relcalc import DEFAULT_TOL, Relation, Subspace, ToleranceConfig, z_transform
+from relcalc.relation import _finite_zeta
 from relcalc.decompose import _invariant_hull
 from relcalc.subspace import _kernel, _orthonormal_columns, _right_singular_split
 
@@ -158,3 +166,34 @@ def svd_window_compress(obj, w, cfg=DEFAULT_TOL):
         stack = np.vstack([obj.F[:wd], obj.G[:wd]])
         return Relation(Subspace(_orthonormal_columns(stack, cfg.rank_tol, scale=1.0)))
     return Subspace(_orthonormal_columns(obj.frame[:wd], cfg.rank_tol, scale=1.0))
+
+
+def span_z_transform(relation, zeta, cfg=DEFAULT_TOL):
+    zc = _finite_zeta(zeta)
+    f, g = relation.F, relation.G
+    top = g - np.conj(zc) * f
+    bot = np.conj(zc) * g - (abs(zc) ** 2) * f
+    return Relation(Subspace.span(np.vstack([top, bot]), cfg, ambient_dim=2 * relation.n,
+                                  scale=max(1.0, abs(zc) ** 2)))
+
+
+def span_compress(relation, k, cfg=DEFAULT_TOL):
+    q = k.frame
+    coords = np.vstack([q.conj().T @ relation.F, q.conj().T @ relation.G])
+    return Relation(Subspace.span(coords, cfg, ambient_dim=2 * k.dim, scale=1.0))
+
+
+def span_rank(mat, rank_tol, scale=None):
+    cfg = ToleranceConfig(rank_tol=rank_tol)
+    return Subspace.span(mat, cfg, ambient_dim=mat.shape[0], scale=scale).dim
+
+
+def span_dims(relation, cfg=DEFAULT_TOL):
+    shifted = relation.G + 1j * relation.F
+    return {
+        "dom": relation.dom(cfg).dim,
+        "ran": relation.ran(cfg).dim,
+        "ker": relation.ker(cfg).dim,
+        "mul": relation.mul(cfg).dim,
+        "shifted_range": Subspace.span(shifted, cfg, ambient_dim=relation.n, scale=1.0).dim,
+    }

@@ -284,6 +284,16 @@ def test_cli_non_finite_tolerance_exits_two(tmp_path, capsys, command, key, bad)
     assert f"tolerances.{key}: expected a finite nonnegative number" in err
 
 
+@pytest.mark.parametrize("command", [["classify"], ["decompose", "--mode", "nfl"]])
+def test_cli_gap_tol_of_one_exits_two(tmp_path, capsys, command):
+    doc = json.loads(emit_relation(Relation.from_operator(np.diag([0.5, 0.25, 0.0]))))
+    doc["tolerances"] = {"gap_tol": 1}
+    with pytest.raises(DocumentError, match="tolerances.gap_tol must be below 1"):
+        load_relation_document(json.dumps(doc))
+    assert main([*command, _write(tmp_path, "tol.json", json.dumps(doc))]) == 2
+    assert "tolerances.gap_tol must be below 1" in capsys.readouterr().err
+
+
 def test_cli_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -16,7 +16,7 @@ from relcalc.relation import (
     _is_symmetric,
     _max_abs_eig,
     _min_eig,
-    _shifted_range,
+    _shifted_range_dim,
 )
 
 import gen
@@ -415,7 +415,7 @@ def test_form_readers_match_classify_bit_for_bit(rng):
         readings = _form_readings(t)
         assert readings == {key: rep.residuals[key] for key in readings}
         assert _is_symmetric(t, CFG) == rep.is_symmetric
-        assert float(t.n - _shifted_range(t, CFG).dim) == rep.residuals["shifted_range_codim"]
+        assert float(t.n - _shifted_range_dim(t, CFG)) == rep.residuals["shifted_range_codim"]
     empty = _form_readings(Relation.zero(3))
     assert empty == dict.fromkeys(empty, 0.0)
 

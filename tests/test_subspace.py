@@ -84,6 +84,14 @@ def test_tolerances_must_be_finite_and_nonnegative(field, bad):
     assert getattr(ToleranceConfig(**{field: 0.0}), field) == 0.0
 
 
+@pytest.mark.parametrize("bad", [1.0, 2.5])
+def test_gap_tol_must_be_below_one(bad):
+    # A gap never exceeds 1, so such a tolerance would pass every check.
+    with pytest.raises(ValueError, match="gap_tol must be below 1"):
+        ToleranceConfig(gap_tol=bad)
+    assert ToleranceConfig(gap_tol=0.5).gap_tol == 0.5
+
+
 def test_intersect_examples():
     e1 = Subspace.from_basis_indices(2, [0])
     diag = Subspace.span([np.array([1.0, 1.0])])
