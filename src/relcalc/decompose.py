@@ -47,9 +47,9 @@ from .subspace import (
     Certificate,
     Subspace,
     ToleranceConfig,
+    _move_to_front,
     _norm2,
     _orthonormal_columns,
-    _reflect_to_front,
     _residual,
     _right_singular_split,
 )
@@ -158,13 +158,6 @@ def _nonunitary_hull(relation: Relation, cfg: ToleranceConfig):
     )
 
 
-def _unitary_part(relation: Relation, cfg: ToleranceConfig):
-    """Largest reducing subspace on which a closed contraction is unitary,
-    and the number of hull rounds that found it."""
-    frame, rounds = _nonunitary_hull(relation, cfg)
-    return Subspace(frame).complement(), rounds
-
-
 def _unitary_dim(relation: Relation, cfg: ToleranceConfig) -> float:
     """Dimension of the unitary part, read from its complement's frame."""
     frame = _nonunitary_hull(relation, cfg)[0]
@@ -174,8 +167,9 @@ def _unitary_dim(relation: Relation, cfg: ToleranceConfig) -> float:
 def unitary_part_subspace(relation: Relation,
                           cfg: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Unitary-part subspace of a closed contraction (padded by zero
-    outside its domain, as in ``nfl_decompose``)."""
-    return _unitary_part(relation, cfg)[0]
+    outside its domain, as in ``nfl_decompose``): the complement of the
+    hull frame."""
+    return Subspace(_nonunitary_hull(relation, cfg)[0]).complement()
 
 
 def _unitary_within(relation: Relation, space: Subspace, cfg: ToleranceConfig):
@@ -197,9 +191,11 @@ def _selfadjoint_within_gap(relation: Relation, space: Subspace,
 
 def nfl_decompose(relation: Relation,
                   cfg: ToleranceConfig = DEFAULT_TOL) -> DecompositionResult:
-    """Split a closed contraction into unitary and completely nonunitary parts."""
-    k, iterations = _unitary_part(relation, cfg)
-    k_perp = k.complement()
+    """Split a closed contraction into unitary and completely nonunitary
+    parts.  K-perp is the hull frame as it is, and K its complement."""
+    frame, iterations = _nonunitary_hull(relation, cfg)
+    k_perp = Subspace(frame)
+    k = k_perp.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     k_unitary, iso_dev = _unitary_within(part_k, k, cfg)
     cnu_dim = _unitary_dim(compress(part_p, k_perp, cfg), cfg)
@@ -235,16 +231,13 @@ def wold_decompose(relation: Relation,
 
     # ran V^{m+1} is contained in ran V^m, so the chain needs no
     # intersections, and its dimension falls until the step that stalls.
-    k = Subspace.full(n)
-    iterations = 0
-    while True:
-        new = Subspace.span(matrix @ k.frame, cfg, ambient_dim=n, scale=1.0)
+    # Its first step, ran V, also gives the wandering space.
+    ran = Subspace.span(matrix, cfg, ambient_dim=n, scale=1.0)
+    wandering = ran.complement()
+    k, new, iterations = Subspace.full(n), ran, 1
+    while new.dim < k.dim:
+        k, new = new, Subspace.span(matrix @ new.frame, cfg, ambient_dim=n, scale=1.0)
         iterations += 1
-        if new.dim == k.dim:
-            break
-        k = new
-
-    wandering = Subspace.span(matrix, cfg, ambient_dim=n, scale=1.0).complement()
 
     # Orthogonal sum of the iterated images of the wandering space; each
     # round's images are measured against the sum before they join it.
@@ -287,8 +280,9 @@ def dissipative_decompose(relation: Relation,
     """
     if _min_eig(_dissipation_form(relation)[0]) < -cfg.psd_tol:
         raise ValueError("relation is not dissipative")
-    k, iterations = _unitary_part(z_transform(relation, 1j, cfg), cfg)
-    k_perp = k.complement()
+    frame, iterations = _nonunitary_hull(z_transform(relation, 1j, cfg), cfg)
+    k_perp = Subspace(frame)
+    k = k_perp.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     r_sa = _selfadjoint_within_gap(part_k, k, cfg)
     mul_dim = float(_mul_dim(part_p, cfg))
@@ -327,18 +321,17 @@ def _chain_step(f: np.ndarray, frame: np.ndarray, added: np.ndarray,
     """Update the split of ``_chain_split`` after ``added`` joined the frame.
 
     With Q = (I - P_frame) F P orthonormal, only the directions of span Q
-    that the new columns A touch change: the right singular vectors of the
-    k x r matrix A^H Q = A^H F P, brought to the front of P by k reflectors.
-    Their coefficients and D are split again by ``_chain_split``; the other
-    columns of P keep their residuals.  The first round, with P empty and D
-    the identity, is one SVD of the whole residual.  P is owned by the
-    chain and is reflected in place.
+    that the new columns A touch change: the row space of the k x r matrix
+    A^H Q = A^H F P, brought to the front of P by the Householder QR of its
+    conjugate transpose (``_move_to_front``).  Those leading coefficients
+    and D are split again by ``_chain_split``; A^H F maps the other columns
+    of P to 0, so their residuals are unchanged.  The first round, with P
+    empty and D the identity, is one SVD of the whole residual.  P is owned
+    by the chain and is rotated in place.
     """
     t, coeffs = 0, d
     if p.shape[1]:
-        z = np.linalg.svd((added.conj().T @ f) @ p, full_matrices=False)[2].conj().T
-        _reflect_to_front(z, p)
-        t = z.shape[1]
+        t = _move_to_front((added.conj().T @ f) @ p, p)
         coeffs = np.linalg.qr(np.hstack([p[:, :t], d]))[0]
     p_new, d, found = _chain_split(f, frame, coeffs, cfg)
     return np.hstack([p_new, p[:, t:]]), d, found

@@ -33,9 +33,9 @@ from .subspace import (
     Certificate,
     Subspace,
     ToleranceConfig,
+    _move_to_front,
     _norm2,
     _orthonormal_columns,
-    _reflect_to_front,
     _residual,
 )
 from .ztransform import z_transform
@@ -145,18 +145,17 @@ def _kept_rows_frame(kept: np.ndarray, dropped: np.ndarray, rank_tol: float) -> 
     ``kept`` and ``dropped`` together form an orthonormal frame.
 
     The Gram of ``kept`` is I - D^H D for the few dropped rows D, so
-    ``kept`` stays orthonormal on the kernel of D.  Reflectors bring the
-    right singular vectors of D to the front; only those leading rows(D)
-    columns move.  They are orthogonalized twice against the rest and
-    spanned by one thin SVD cut at ``rank_tol`` (absolute), whose singular
-    values are those of ``kept`` that D moved.
+    ``kept`` stays orthonormal on the kernel of D.  The Householder QR of
+    D^H brings the row space of D to the front (``_move_to_front``); only
+    those leading rows(D) columns move.  They are orthogonalized twice
+    against the rest and spanned by one thin SVD cut at ``rank_tol``
+    (absolute), whose singular values are those of ``kept`` that D moved.
     """
     if kept.shape[1] == 0:
         return kept
-    z = np.linalg.svd(dropped, full_matrices=False)[2].conj().T
     rotated = kept.astype(complex)
-    _reflect_to_front(z, rotated)
-    moved, still = rotated[:, :z.shape[1]], rotated[:, z.shape[1]:]
+    t = _move_to_front(dropped, rotated)
+    moved, still = rotated[:, :t], rotated[:, t:]
     for _pass in range(2):  # Gram-Schmidt twice is enough against the rest
         moved = _residual(still, moved)
     return np.hstack([_orthonormal_columns(moved, rank_tol, scale=1.0), still])

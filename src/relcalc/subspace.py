@@ -32,7 +32,9 @@ class ToleranceConfig:
     """Numerical thresholds governing every predicate in the package.
 
     rank_tol
-        Relative singular-value cutoff for rank decisions.
+        Relative singular-value cutoff for rank decisions.  It must be
+        below 1/sqrt(2): the lattice operations cut sines at
+        sqrt(2) * rank_tol, and a sine never exceeds 1.
     psd_tol
         Eigenvalue floor for positive-semidefiniteness tests.
     gap_tol
@@ -51,6 +53,8 @@ class ToleranceConfig:
                 raise ValueError(f"{field.name} must be finite and nonnegative")
         if not self.gap_tol < 1:
             raise ValueError("gap_tol must be below 1, the largest possible gap")
+        if not self.rank_tol < 1 / np.sqrt(2):
+            raise ValueError("rank_tol must be below 1/sqrt(2), where the sine cut reaches 1")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -171,28 +175,23 @@ def _residual(frame: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return vectors - frame @ (vectors.conj().T @ frame).conj().T
 
 
-def _reflect_to_front(z: np.ndarray, mat: np.ndarray) -> None:
-    """Multiply ``mat`` in place from the right by the Householder
-    reflectors that take the orthonormal columns ``z`` to the leading unit
-    vectors, so that its leading columns become ``mat @ z`` up to unit
-    phases and the rest span the complement: O(rows * cols) per column of
-    ``z``, not a full rotation.  The reflectors I - 2 w w^H are applied at
-    once in the compact WY form I - W T W^H (Schreiber & Van Loan 1989)."""
-    m, t = z.shape
-    z = z.astype(complex)
-    w = np.zeros((m, t), dtype=complex)
-    tri = np.zeros((t, t), dtype=complex)
-    for j in range(t):
-        x = z[j:, j]
-        v = x.copy()
-        v[0] += (x[0] / abs(x[0]) if x[0] != 0 else 1.0) * np.linalg.norm(x)
-        v /= np.linalg.norm(v)
-        z[j:, j:] -= 2 * np.outer(v, v.conj() @ z[j:, j:])
-        w[j:, j] = v
-        tri[:j, j] = -2 * (tri[:j, :j] @ (w[:, :j].conj().T @ w[:, j]))
-        tri[j, j] = 2
-    if t:
-        mat -= (mat @ w) @ (tri @ w.conj().T)
+def _move_to_front(rows: np.ndarray, mat: np.ndarray) -> int:
+    """Multiply ``mat`` in place from the right by the unitary Q of the
+    Householder QR of ``rows^H``, and return t = min(rows.shape): Q's
+    leading t columns span the row space of ``rows``, and ``rows`` maps the
+    rest to 0.  LAPACK's reflectors I - tau v v^H are applied at once in the
+    compact WY form I - V T V^H (Schreiber & Van Loan 1989), in O(t) flops
+    per entry of ``mat``, with T = diag(tau) (I + striu(V^H V) diag(tau))^-1
+    (Joffrain et al. 2006), which never divides by a tau that is 0."""
+    t = min(rows.shape)
+    h, tau = np.linalg.qr(rows.conj().T, mode="raw")
+    v = np.tril(h.T[:, :t], -1)
+    np.fill_diagonal(v, 1)
+    v_h = v.conj().T
+    tri = np.triu(v_h @ v, 1) * tau
+    np.fill_diagonal(tri, 1)
+    mat -= (mat @ v) @ (tau[:, None] * np.linalg.solve(tri, v_h))
+    return t
 
 
 def _complement_frame(frame: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Recorders for the work-count tests.
 
-``record_factorizations`` passes the shape of every matrix given to
-``np.linalg.svd`` or ``np.linalg.qr`` to a callback, and
-``record_linalg_calls`` lists those calls with whether they form vectors.
+``record_linalg_calls`` lists the calls of ``np.linalg.svd`` and
+``np.linalg.qr`` with the shape of the matrix and whether they form
+vectors.
 ``record_chain_rounds`` records each round of the symmetric-Wold image
 chain after its first (the first has nothing carried yet and factors F
-once): the number of columns the round added, the shapes it factored and
-the (carried, re-read, found) column counts of its splits.
+once): the number of columns the round added, the factorizations it took
+and the shapes it factored, and the (carried, re-read, found) column
+counts of its splits.
 """
 
 import numpy as np
@@ -27,12 +28,6 @@ def _wrap_factorizations(monkeypatch, record):
         monkeypatch.setattr(np.linalg, name, recorded)
 
 
-def record_factorizations(monkeypatch, record):
-    """Pass the shape of every matrix given to np.linalg.svd or .qr to
-    ``record``."""
-    _wrap_factorizations(monkeypatch, lambda _name, shape, _vectors: record(shape))
-
-
 def record_linalg_calls(monkeypatch):
     """List that fills with (name, shape, vectors) for every call of
     np.linalg.svd or .qr."""
@@ -43,8 +38,9 @@ def record_linalg_calls(monkeypatch):
 
 def record_chain_rounds(monkeypatch):
     """List that fills with one dict per image-chain round after the first:
-    ``added`` (columns the round added), ``shapes`` (of its factorizations)
-    and ``splits`` ((carried, re-read, found) counts per split)."""
+    ``added`` (columns the round added), ``names`` and ``shapes`` (``"svd"``
+    or ``"qr"`` and the matrix shape, per factorization) and ``splits``
+    ((carried, re-read, found) counts per split)."""
     rounds = []
     inside = []
     step, split = decompose._chain_step, decompose._chain_split
@@ -52,7 +48,7 @@ def record_chain_rounds(monkeypatch):
     def recorded_step(f, frame, added, p, d, cfg):
         inside.append(p.shape[1] > 0)
         if inside[-1]:
-            rounds.append({"added": added.shape[1], "shapes": [], "splits": []})
+            rounds.append({"added": added.shape[1], "names": [], "shapes": [], "splits": []})
         try:
             return step(f, frame, added, p, d, cfg)
         finally:
@@ -64,11 +60,12 @@ def record_chain_rounds(monkeypatch):
             rounds[-1]["splits"].append(tuple(part.shape[1] for part in out))
         return out
 
-    def record_shape(shape):
+    def record(name, shape, _vectors):
         if inside and inside[-1]:
+            rounds[-1]["names"].append(name)
             rounds[-1]["shapes"].append(shape)
 
     monkeypatch.setattr(decompose, "_chain_step", recorded_step)
     monkeypatch.setattr(decompose, "_chain_split", recorded_split)
-    record_factorizations(monkeypatch, record_shape)
+    _wrap_factorizations(monkeypatch, record)
     return rounds

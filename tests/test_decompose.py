@@ -231,6 +231,26 @@ def test_nfl_unitary_conjugation_covariance(rng):
     assert k_conj.gap(Subspace.span(q @ k.frame, ambient_dim=4)) < 1e-8
 
 
+def test_engines_take_k_perp_from_the_hull(rng, monkeypatch):
+    # The hull frame is K-perp as it is; K is its one complement.  Neither
+    # engine builds K-perp again as the complement of K.
+    v, _ = gen.block_contraction(rng, 2, 3)
+    l = gen.random_dissipative(rng, 5, maximal=True)
+    calls = []
+    complement = Subspace.complement
+
+    def counted(space):
+        calls.append(space.dim)
+        return complement(space)
+
+    monkeypatch.setattr(Subspace, "complement", counted)
+    for engine, relation in ((nfl_decompose, v), (dissipative_decompose, l)):
+        calls.clear()
+        result = engine(relation)
+        assert result.passed
+        assert calls == [result.k.ambient_dim - result.k.dim]
+
+
 def test_nfl_rejects_noncontraction():
     with pytest.raises(ValueError, match="relation is not a contraction"):
         nfl_decompose(Relation.from_operator(3.0 * np.eye(2)))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,18 @@ def test_cli_gap_tol_of_one_exits_two(tmp_path, capsys, command):
         load_relation_document(json.dumps(doc))
     assert main([*command, _write(tmp_path, "tol.json", json.dumps(doc))]) == 2
     assert "tolerances.gap_tol must be below 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["classify"], ["decompose", "--mode", "nfl"]])
+def test_cli_rank_tol_of_one_over_sqrt_two_exits_two(tmp_path, capsys, command):
+    # A sine cut of sqrt(2) * rank_tol at 1 or more would keep every sine.
+    doc = json.loads(emit_relation(Relation.from_operator(np.diag([1.0, 0.5, 0.2]))))
+    doc["tolerances"] = {"rank_tol": 0.71}
+    message = "tolerances.rank_tol must be below 1/sqrt(2)"
+    with pytest.raises(DocumentError, match=re.escape(message)):
+        load_relation_document(json.dumps(doc))
+    assert main([*command, _write(tmp_path, "tol.json", json.dumps(doc))]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_unknown_subcommand_exits_two(capsys):

@@ -27,7 +27,7 @@ from relcalc import (
 from relcalc import shiftmodel
 
 import gen
-from probes import record_chain_rounds, record_factorizations
+from probes import record_chain_rounds, record_linalg_calls
 from reference import loop_elementary_symmetric, loop_shift, svd_window_compress
 
 W16 = WindowConfig(n=16, margin=4)
@@ -279,7 +279,9 @@ def test_image_chain_and_window_work(monkeypatch):
     # k columns each round added, and window compression nothing larger
     # than its dropped rows (2 * margin for a relation, margin for a
     # subspace): no SVD of the whole N x r residual per round, and none of
-    # the whole window frame.
+    # the whole window frame.  A QR brings the touched columns to the
+    # front, so a round and a compression each take one SVD: of the
+    # columns they read again.
     w = WindowConfig(n=64)
     ext = build_multivalued_extension(w)
     rounds = record_chain_rounds(monkeypatch)
@@ -289,13 +291,14 @@ def test_image_chain_and_window_work(monkeypatch):
     assert len(rounds) == result.iterations - 1 == w.n - 2
     for r in rounds:
         assert r["shapes"] and all(min(shape) <= r["added"] for shape in r["shapes"])
+        assert r["names"].count("svd") == 1
 
     for obj, dropped in ((ext, 2 * w.margin), (result.k, w.margin)):
-        shapes = []
-        record_factorizations(monkeypatch, shapes.append)
+        calls = record_linalg_calls(monkeypatch)
         window_compress(obj, w)
         monkeypatch.undo()
-        assert shapes and all(min(shape) <= dropped for shape in shapes)
+        assert calls and all(min(shape) <= dropped for _, shape, _ in calls)
+        assert [name for name, _, _ in calls].count("svd") == 1
 
 
 def _assert_window_compress_matches_svd(obj, w):

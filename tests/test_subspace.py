@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import relcalc
 from relcalc import Subspace, ToleranceConfig
-from relcalc.subspace import _orthonormal_columns
+from relcalc.subspace import _move_to_front, _orthonormal_columns
 
 import gen
 from reference import projector_gap, stacked_intersect, stacked_sum, svd_complement
@@ -90,6 +90,19 @@ def test_gap_tol_must_be_below_one(bad):
     with pytest.raises(ValueError, match="gap_tol must be below 1"):
         ToleranceConfig(gap_tol=bad)
     assert ToleranceConfig(gap_tol=0.5).gap_tol == 0.5
+
+
+@pytest.mark.parametrize("bad", [1 / np.sqrt(2), 0.71, 1.0])
+def test_rank_tol_must_be_below_one_over_sqrt_two(bad):
+    # The lattice operations cut sines at sqrt(2) * rank_tol, and a sine
+    # never exceeds 1: at rank_tol = 0.71 the sum of two orthogonal lines
+    # had one dimension, and their intersection failed the frame check.
+    with pytest.raises(ValueError, match=r"rank_tol must be below 1/sqrt\(2\)"):
+        ToleranceConfig(rank_tol=bad)
+    cfg = ToleranceConfig(rank_tol=0.7)
+    e1, e2 = Subspace.from_basis_indices(2, [0]), Subspace.from_basis_indices(2, [1])
+    assert e1.sum(e2, cfg).dim == 2
+    assert e1.intersect(e2, cfg).dim == 0
 
 
 def test_intersect_examples():
@@ -218,6 +231,32 @@ def test_sum_rank_oracle():
     assert np.linalg.matrix_rank(np.column_stack(vectors)) == 2
     s = Subspace.span([vectors[0]]).sum(Subspace.span([vectors[1]]))
     assert s.gap(Subspace.full(2)) < 1e-12
+
+
+def _move_to_front_rows(rng, cols):
+    """Rows with fewer, as many and more rows than ``cols``, no rows, rank
+    deficient rows, a unit row (LAPACK's tau is 0 for it) and zero rows."""
+    pair = gen.complex_matrix(rng, 2, cols)
+    unit = np.zeros((1, cols), dtype=complex)
+    unit[0, cols // 2] = 1.0
+    return [gen.complex_matrix(rng, 3, cols), gen.complex_matrix(rng, cols, cols),
+            gen.complex_matrix(rng, cols + 4, cols), np.zeros((0, cols), dtype=complex),
+            np.vstack([pair, pair[:1] - 2j * pair[1:]]), unit, np.zeros((2, cols))]
+
+
+def test_move_to_front_matches_complete_qr(rng):
+    for cols in (5, 12):
+        for rows in _move_to_front_rows(rng, cols):
+            mat = gen.complex_matrix(rng, 7, cols)
+            moved, q = mat.copy(), np.eye(cols, dtype=complex)
+            t = _move_to_front(rows, moved)
+            assert _move_to_front(rows, q) == t == min(rows.shape)
+            expected = np.linalg.qr(rows.conj().T, mode="complete")[0]
+            assert np.abs(moved - mat @ expected).max() < 1e-13
+            assert np.abs(q - expected).max() < 1e-13
+            # Q is unitary and its trailing columns are orthogonal to the rows.
+            assert np.abs(q.conj().T @ q - np.eye(cols)).max() < 1e-13
+            assert np.abs(rows @ q[:, t:]).max(initial=0.0) < 1e-13
 
 
 def test_complement_example():
