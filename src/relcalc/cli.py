@@ -176,10 +176,10 @@ def _cmd_certify(args) -> int:
 def _cmd_example(args) -> int:
     try:
         window = WindowConfig(n=args.n, margin=args.margin)
+        report = run_shift_example(window)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_shift_example(window)
     document = relio.example_document(report)
     if args.report:
         _emit(document, args.report)

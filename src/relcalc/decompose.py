@@ -200,13 +200,13 @@ def nfl_decompose(relation: Relation,
     k_unitary, iso_dev = _unitary_within(part_k, k, cfg)
     cnu_dim = _unitary_dim(compress(part_p, k_perp, cfg), cfg)
     # The padding never meets K, so the unitary part sits inside dom V.
-    r_dom = 0.0 if relation.dom(cfg).contains(k, cfg) else 1.0
+    r_dom = _norm2(_residual(relation.dom(cfg).frame, k.frame))
 
     certificates = (
         Certificate("reducing", r_red < cfg.gap_tol, r_red, cfg.gap_tol),
         Certificate("part_k_unitary", k_unitary, iso_dev, cfg.psd_tol),
         Certificate("part_k_perp_completely_nonunitary", cnu_dim == 0.0, cnu_dim, 0.0),
-        Certificate("k_inside_domain", r_dom == 0.0, r_dom, cfg.gap_tol),
+        Certificate("k_inside_domain", r_dom < cfg.gap_tol, r_dom, cfg.gap_tol),
     )
     return DecompositionResult(k, part_k, part_p, certificates, iterations)
 
@@ -343,12 +343,12 @@ def symmetric_wold_decompose(relation: Relation,
     """Split a maximal symmetric relation into elementary maximal and
     selfadjoint parts.
 
-    The wandering space is L = dom of the deficiency space of the adjoint
-    at -i, and K accumulates the iterated images of L under the Z transform
-    at i (so here K carries the shift-like part).  In finite dimension a
-    maximal symmetric relation is selfadjoint and K is {0}; truncated
-    sequence-space models are not maximal at the truncation edge, and pass
-    ``require_maximal=False`` to run the same iteration anyway.
+    K accumulates the iterated images of the wandering space
+    L = ker(T* + i) = ran(T - i)-perp = (ran V)-perp under the Z transform
+    V at i (so here K carries the shift-like part); L is read from V, as
+    ``wold_decompose`` reads it.  In finite dimension a maximal symmetric
+    relation is selfadjoint and K is {0}; truncated sequence-space models
+    are not maximal at the edge, and pass ``require_maximal=False``.
 
     The image chain K_0 = L, K_{j+1} = K_j + V K_j is the invariant hull
     of L.  With the transform's graph frame [F; G], the coefficients mapped
@@ -363,21 +363,12 @@ def symmetric_wold_decompose(relation: Relation,
     N x r residual (see ``_chain_step``).
     ``iterations`` counts the steps of the one-step chain K_j + image(K_j).
     """
-    return _symmetric_wold(relation, cfg, require_maximal)
-
-
-def _symmetric_wold(relation: Relation, cfg: ToleranceConfig, require_maximal: bool,
-                    adjoint: Relation | None = None) -> DecompositionResult:
-    """``symmetric_wold_decompose``, taking the relation's adjoint from a
-    caller that already holds it."""
     if not _is_symmetric(relation, cfg):
         raise ValueError("relation is not symmetric")
     if require_maximal and _shifted_range_dim(relation, cfg) != relation.n:
         raise ValueError("relation is not maximal (the range of T + iI is a proper subspace)")
-    if adjoint is None:
-        adjoint = relation.adjoint()
     transform = z_transform(relation, 1j, cfg)
-    wandering = adjoint.deficiency(-1j, cfg).dom(cfg)
+    wandering = transform.ran(cfg).complement()
 
     f, g = transform.F, transform.G
     # Unfound coefficients: carried ones (P) and ones read again (D).

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import _symmetric_wold
+from .decompose import symmetric_wold_decompose
 from .invariance import adjoint_within, orthogonal_relation_sum
 from .relation import Relation, _deficiency_dim, _dom_dim, _is_symmetric, _mul_dim
 from .subspace import (
@@ -36,6 +36,7 @@ from .subspace import (
     _move_to_front,
     _norm2,
     _orthonormal_columns,
+    _rank_of,
     _residual,
 )
 from .ztransform import z_transform
@@ -142,7 +143,8 @@ def window_span(w: WindowConfig, indices) -> Subspace:
 
 def _kept_rows_frame(kept: np.ndarray, dropped: np.ndarray, rank_tol: float) -> np.ndarray:
     """Orthonormal frame of the column span of ``kept``, where the rows
-    ``kept`` and ``dropped`` together form an orthonormal frame.
+    ``kept`` and ``dropped`` together form an orthonormal frame.  ``kept``
+    is a complex array owned by the caller and is rotated in place.
 
     The Gram of ``kept`` is I - D^H D for the few dropped rows D, so
     ``kept`` stays orthonormal on the kernel of D.  The Householder QR of
@@ -153,9 +155,8 @@ def _kept_rows_frame(kept: np.ndarray, dropped: np.ndarray, rank_tol: float) -> 
     """
     if kept.shape[1] == 0:
         return kept
-    rotated = kept.astype(complex)
-    t = _move_to_front(dropped, rotated)
-    moved, still = rotated[:, :t], rotated[:, t:]
+    t = _move_to_front(dropped, kept)
+    moved, still = kept[:, :t], kept[:, t:]
     for _pass in range(2):  # Gram-Schmidt twice is enough against the rest
         moved = _residual(still, moved)
     return np.hstack([_orthonormal_columns(moved, rank_tol, scale=1.0), still])
@@ -179,7 +180,7 @@ def window_compress(obj, w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL):
     if isinstance(obj, Subspace):
         if obj.ambient_dim != w.n:
             raise ValueError("subspace does not live in the model space")
-        return Subspace(_kept_rows_frame(obj.frame[:wd], obj.frame[wd:], cfg.rank_tol))
+        return Subspace(_kept_rows_frame(obj.frame[:wd].copy(), obj.frame[wd:], cfg.rank_tol))
     raise TypeError("expected a Subspace or a Relation")
 
 
@@ -202,10 +203,10 @@ class SpectralProbe:
     """Finite-truncation spectral probes of the symmetric operator.
 
     ``eigenvalue_free`` asserts trivial kernels of A - zeta at the sampled
-    points; ``deficiency_direction`` asserts delta_1 inside ker(A* + i),
-    with the residual of that containment.  ``adjoint_kernel_dims`` is
-    reported only: the truncation distorts the adjoint's eigenspaces away
-    from the probe direction.
+    points; ``deficiency_direction`` asserts delta_1 inside
+    ker(A* + i) = ran(A - i)-perp, with the residual of that containment.
+    ``adjoint_kernel_dims`` is reported only: the truncation distorts the
+    adjoint's eigenspaces away from the probe direction.
     """
 
     eigenvalue_free: dict
@@ -220,16 +221,15 @@ class SpectralProbe:
 
 def spectral_window_probe(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralProbe:
     op = build_elementary_symmetric(w)
-    adj = op.adjoint()
-    return _window_probe(w, op, adj, adj.deficiency(-1j, cfg).dom(cfg), cfg)
+    return _window_probe(w, op, z_transform(op, 1j, cfg).ran(cfg).complement(), cfg)
 
 
-def _window_probe(w: WindowConfig, op: Relation, adj: Relation, minus_i_kernel: Subspace,
+def _window_probe(w: WindowConfig, op: Relation, minus_i_kernel: Subspace,
                   cfg: ToleranceConfig) -> SpectralProbe:
-    """The probe of the symmetric operator ``op``, given its adjoint and
-    the adjoint's kernel at -i.  Kernel dimensions are counted from
-    singular values alone (``_deficiency_dim``); at the sampled |zeta| <= 2
-    they are the dimensions of the deficiency spaces' domains."""
+    """The probe of the symmetric operator ``op``, given ker(A* + i).
+    Dimensions come from singular values alone: dim ker(A - zeta) as
+    ``deficiency`` cuts it (``_deficiency_dim``), dim ker(A* - conj zeta)
+    as N - rank(G - zeta F), the range rank that ``classify_point`` reads."""
     samples = [1j, -1j, 0.0, 1.0, 1.0 + 1j]
     kernel_dims = {}
     for zeta in samples:
@@ -241,7 +241,8 @@ def _window_probe(w: WindowConfig, op: Relation, adj: Relation, minus_i_kernel: 
     lower_samples = [-1j, -2j, 1.0 - 1j, -0.5 - 0.5j]
     adjoint_dims = {}
     for zeta in lower_samples:
-        adjoint_dims[str(complex(zeta))] = _deficiency_dim(adj, np.conj(zeta), cfg)
+        rank = _rank_of(op.G - zeta * op.F, cfg.rank_tol, scale=max(1.0, abs(zeta)))
+        adjoint_dims[str(complex(zeta))] = w.n - rank
 
     return SpectralProbe(
         eigenvalue_free=kernel_dims,
@@ -268,12 +269,14 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
     """Run the full sequence-space pipeline and certify it window-exactly.
 
     Steps: the Z transform of the symmetric operator reproduces the shift;
-    the adjoint's deficiency direction at -i is delta_1; the three adjoint
+    ker(A* + i) = ran(A - i)-perp is delta_1; the three adjoint
     identities for the operator, its restriction and the multivalued
     extension hold on the window; and the symmetric splitting of the
     extension recovers the shift part on span{delta_2..} with the
     multivalued line as the selfadjoint complement part.
     """
+    if w.window_dim < 2:
+        raise ValueError("the splitting's claims are on delta_2: window_dim must be at least 2")
     shift = build_shift(w)
     op = build_elementary_symmetric(w)
     tail = delta_span(w, range(2, w.n + 1))
@@ -282,17 +285,17 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
     restricted = op.restrict_domain(tail, cfg)
     line = build_multivalued_line(w)
     extension = orthogonal_relation_sum(restricted, line, cfg)
-    extension_adj = extension.adjoint()  # shared with the splitting below
     certificates = []
 
     def cert(name, residual, tolerance):
         certificates.append(Certificate(name, residual < tolerance, float(residual), tolerance))
 
     # Transform identity; exact in the full space, asserted on the window.
-    cert("transform_matches_shift", window_gap(z_transform(op, 1j, cfg), shift, w, cfg), 1e-12)
+    transform = z_transform(op, 1j, cfg)
+    cert("transform_matches_shift", window_gap(transform, shift, w, cfg), 1e-12)
 
-    adj_op = op.adjoint()
-    deficiency_dir = adj_op.deficiency(-1j, cfg).dom(cfg)
+    # ker(A* + i) = ran(A - i)-perp, read as spectral_window_probe reads it.
+    deficiency_dir = transform.ran(cfg).complement()
     cert(
         "deficiency_line_is_delta1",
         window_gap(deficiency_dir, window_span(w, [1]), w, cfg),
@@ -304,6 +307,7 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
         f[k - 1] = 1.0
         return Relation.from_pairs([(f, -1j * f)], n=w.n)
 
+    adj_op = op.adjoint()
     cert(
         "adjoint_identity_operator",
         window_gap(adj_op, orthogonal_relation_sum(op, pair_line(1), cfg), w, cfg),
@@ -320,7 +324,7 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
     cert(
         "adjoint_identity_extension",
         window_gap(
-            extension_adj,
+            extension.adjoint(),
             orthogonal_relation_sum(restricted_plus, line, cfg),
             w,
             cfg,
@@ -350,8 +354,7 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
 
     # The symmetric splitting of the extension.  The truncated extension is
     # not maximal at the edge, which is exactly what the window excludes.
-    # This is symmetric_wold_decompose with the adjoint taken above.
-    result = _symmetric_wold(extension, cfg, False, extension_adj)
+    result = symmetric_wold_decompose(extension, cfg, require_maximal=False)
     cert(
         "splitting_wandering_is_delta2",
         window_gap(result.wandering, window_span(w, [2]), w, cfg),
@@ -374,7 +377,7 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
         cfg.gap_tol,
     )
 
-    probe = _window_probe(w, op, adj_op, deficiency_dir, cfg)
+    probe = _window_probe(w, op, deficiency_dir, cfg)
     cert("probe_no_eigenvalues", float(sum(probe.eigenvalue_free.values())), 1.0)
     cert("probe_deficiency_direction", probe.deficiency_residual, 1e-12)
 

@@ -222,6 +222,24 @@ def test_nfl_partial_domain_contraction(rng):
         assert v.dom().contains(result.k)
 
 
+def test_nfl_k_inside_domain_residual(rng):
+    # A block contraction restricted to its unitary part plus one more
+    # direction keeps that unitary part as K, inside a proper domain.  The
+    # certificate reports ||(I - P_dom) K||_2, not a 0/1 verdict.
+    for _ in range(5):
+        v, unitary = gen.block_contraction(rng, 2, 3)
+        dom = Subspace.span(np.hstack([unitary.frame, unitary.complement().frame[:, :1]]),
+                            ambient_dim=5)
+        partial = v.restrict_domain(dom)
+        result = nfl_decompose(partial)
+        assert result.k.dim == 2 and result.passed
+        d = partial.dom().frame
+        expected = np.linalg.norm(result.k.frame - d @ (d.conj().T @ result.k.frame), 2)
+        cert = result.certificate("k_inside_domain")
+        assert 0.0 < cert.residual < cert.tolerance
+        assert cert.residual == pytest.approx(expected, rel=0.0, abs=1e-14)
+
+
 def test_nfl_unitary_conjugation_covariance(rng):
     v, _ = gen.block_contraction(rng, 2, 2)
     q = gen.random_unitary(rng, 4)
@@ -474,6 +492,8 @@ def _assert_matches_row_space_chain(a, cfg=DEFAULT_TOL):
     assert result.k.dim == k_ref.dim
     assert result.iterations == rounds_ref
     assert result.k.gap(k_ref) < 1e-12
+    # L = (ran V)-perp is ker(T* + i), the adjoint route's wandering space.
+    assert result.wandering.gap(a.adjoint().deficiency(-1j, cfg).dom(cfg)) < 1e-12
     return result
 
 

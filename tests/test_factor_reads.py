@@ -218,5 +218,5 @@ def test_dimension_sites_factor_no_vectors(monkeypatch, rng):
     # The probe: nine kernel dimensions and the direction's residual, all
     # from singular values alone.
     calls.clear()
-    shiftmodel._window_probe(w, op, adj, kernel, DEFAULT_TOL)
+    shiftmodel._window_probe(w, op, kernel, DEFAULT_TOL)
     assert len(calls) == 10 and vector_svds() == [] and all(c[0] == "svd" for c in calls)

@@ -247,6 +247,16 @@ def test_cli_example_bad_window(capsys):
     assert main(["example", "shift", "--n", "4"]) == 2
 
 
+def test_cli_example_window_without_delta2_exits_two(capsys):
+    # WindowConfig accepts a one-index window; the example rejects it on
+    # entry as an input error, not as a failed certificate.
+    assert main(["example", "shift", "--n", "8", "--margin", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "delta_2" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_cli_input_errors(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["classify", missing]) == 2

@@ -51,6 +51,14 @@ def test_window_config_validation():
     assert WindowConfig(n=8, margin=2).window_dim == 6
 
 
+def test_shift_example_needs_delta2_in_window():
+    w = WindowConfig(n=8, margin=7)
+    assert w.window_dim == 1  # valid for window_compress, not for the example
+    with pytest.raises(ValueError, match="delta_2"):
+        run_shift_example(w)
+    assert run_shift_example(WindowConfig(n=8, margin=6)).info["window_dim"] == 2
+
+
 def test_shift_structure():
     s = build_shift(W16)
     rep = classify(s)
@@ -236,15 +244,17 @@ def _count_calls(monkeypatch, owner, name, counts):
 def test_shift_example_work(monkeypatch):
     # The example and the splitting read their verdicts from the Hermitian
     # forms, not from full reports, and build each relation and adjoint
-    # once (the splitting takes the extension's adjoint from the example);
-    # the probe inside the example is the public one.  No step forms an
-    # N x N projector or takes the spectrum of one.
-    counts = {"classify": 0, "adjoint": 0, "projector": 0, "eigvalsh": 0}
+    # once; the splitting and the probe read ker(T* + i) as the complement
+    # of the transform's range, so neither takes an adjoint or a
+    # deficiency space for it.  The probe inside the example is the public
+    # one.  No step forms an N x N projector or takes the spectrum of one.
+    counts = {"classify": 0, "adjoint": 0, "deficiency": 0, "projector": 0, "eigvalsh": 0}
     for module in [m for name, m in sys.modules.items()
                    if name == "relcalc" or name.startswith("relcalc.")]:
         if getattr(module, "classify", None) is classify:
             _count_calls(monkeypatch, module, "classify", counts)
     _count_calls(monkeypatch, Relation, "adjoint", counts)
+    _count_calls(monkeypatch, Relation, "deficiency", counts)
     _count_calls(monkeypatch, Subspace, "projector", counts)
     _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
     probes = []
@@ -260,17 +270,23 @@ def test_shift_example_work(monkeypatch):
     assert report.passed
     assert counts["classify"] == 0
     assert counts["adjoint"] <= 5
+    assert counts["deficiency"] == 0
     assert counts["projector"] == 0
     assert counts["eigvalsh"] == 0
 
     # The public probe goes through the same helper and agrees exactly.
+    counts.update(adjoint=0, deficiency=0)
     expected = spectral_window_probe(W16)
+    assert (counts["adjoint"], counts["deficiency"]) == (0, 0)
     assert probes == [expected, expected]
     residuals = {c.name: c.residual for c in report.certificates}
     assert residuals["probe_deficiency_direction"] == expected.deficiency_residual
     assert report.info["adjoint_kernel_dims"] == expected.adjoint_kernel_dims
 
+    # The splitting's one adjoint is that of its selfadjoint part on K-perp.
+    counts.update(adjoint=0, deficiency=0)
     symmetric_wold_decompose(build_multivalued_extension(W16), require_maximal=False)
+    assert (counts["adjoint"], counts["deficiency"]) == (1, 0)
     assert counts["classify"] == 0
 
 
