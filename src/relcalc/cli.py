@@ -2,7 +2,8 @@
 
 Subcommands: ``classify``, ``ztransform``, ``decompose``, ``certify`` and
 ``example``.  Exit codes: 0 on success, 1 when a certificate failed,
-2 on input errors (argparse uses 2 for bad flags as well).
+2 on input errors, which are every ``ValueError`` (``DocumentError``
+included; argparse uses 2 for bad flags as well).
 """
 
 from __future__ import annotations
@@ -144,12 +145,7 @@ def _cmd_ztransform(args) -> int:
 
 def _cmd_decompose(args) -> int:
     relation, cfg = _load_relation(args.file)
-    engine = _MODES[args.mode]
-    try:
-        result = engine(relation, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = _MODES[args.mode](relation, cfg)
     document = relio.decomposition_document(args.mode, relation, result, cfg)
     _emit(document, args.report)
     if args.report:
@@ -161,25 +157,17 @@ def _cmd_decompose(args) -> int:
 def _cmd_certify(args) -> int:
     relation, cfg = _load_relation(args.file)
     space = relio.parse_subspace(_read_text(args.subspace), cfg)
-    try:
-        report = reduction_certificates(relation, space, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = reduction_certificates(relation, space, cfg)
     document = relio.reduction_document(relation, space, report, cfg)
     _emit(document, args.report)
     if args.report:
         _print_certificates(document["certificates"])
-    return 0 if report.ok else 1
+    return 0 if report.passed else 1
 
 
 def _cmd_example(args) -> int:
-    try:
-        window = WindowConfig(n=args.n, margin=args.margin)
-        report = run_shift_example(window)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    window = WindowConfig(n=args.n, margin=args.margin)
+    report = run_shift_example(window)
     document = relio.example_document(report)
     if args.report:
         _emit(document, args.report)
@@ -194,7 +182,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except relio.DocumentError as exc:
+    except ValueError as exc:  # DocumentError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,6 +45,7 @@ from .relation import (
 from .subspace import (
     DEFAULT_TOL,
     Certificate,
+    Certified,
     Subspace,
     ToleranceConfig,
     _move_to_front,
@@ -68,7 +69,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Certified):
     """A reducing subspace, both restricted parts and their certificates.
 
     ``wandering`` carries the wandering space for the isometry/symmetric
@@ -84,16 +85,6 @@ class DecompositionResult:
     certificates: tuple
     iterations: int
     wandering: Subspace | None = None
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.certificates)
-
-    def certificate(self, name: str) -> Certificate:
-        for cert in self.certificates:
-            if cert.name == name:
-                return cert
-        raise KeyError(name)
 
 
 def maximalize_contraction(relation: Relation,
@@ -158,10 +149,10 @@ def _nonunitary_hull(relation: Relation, cfg: ToleranceConfig):
     )
 
 
-def _unitary_dim(relation: Relation, cfg: ToleranceConfig) -> float:
+def _unitary_dim(relation: Relation, cfg: ToleranceConfig) -> int:
     """Dimension of the unitary part, read from its complement's frame."""
     frame = _nonunitary_hull(relation, cfg)[0]
-    return float(frame.shape[0] - frame.shape[1])
+    return frame.shape[0] - frame.shape[1]
 
 
 def unitary_part_subspace(relation: Relation,
@@ -173,13 +164,12 @@ def unitary_part_subspace(relation: Relation,
 
 
 def _unitary_within(relation: Relation, space: Subspace, cfg: ToleranceConfig):
-    """Whether a restricted part is unitary in the coordinates of its own
-    subspace (an isometry with full domain and range), and its isometry
-    deviation."""
+    """The two residuals of a restricted part being unitary in the
+    coordinates of its own subspace: its isometry deviation, and the
+    codimensions of its domain and range summed (0 when both are full)."""
     part = compress(relation, space, cfg)
     iso_dev = _max_abs_eig(_contraction_form(part)[0])
-    full = _dom_dim(part, cfg) == part.n and _ran_dim(part, cfg) == part.n
-    return iso_dev <= cfg.psd_tol and full, iso_dev
+    return iso_dev, 2 * part.n - _dom_dim(part, cfg) - _ran_dim(part, cfg)
 
 
 def _selfadjoint_within_gap(relation: Relation, space: Subspace,
@@ -197,16 +187,17 @@ def nfl_decompose(relation: Relation,
     k_perp = Subspace(frame)
     k = k_perp.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
-    k_unitary, iso_dev = _unitary_within(part_k, k, cfg)
+    iso_dev, codim = _unitary_within(part_k, k, cfg)
     cnu_dim = _unitary_dim(compress(part_p, k_perp, cfg), cfg)
     # The padding never meets K, so the unitary part sits inside dom V.
     r_dom = _norm2(_residual(relation.dom(cfg).frame, k.frame))
 
     certificates = (
-        Certificate("reducing", r_red < cfg.gap_tol, r_red, cfg.gap_tol),
-        Certificate("part_k_unitary", k_unitary, iso_dev, cfg.psd_tol),
-        Certificate("part_k_perp_completely_nonunitary", cnu_dim == 0.0, cnu_dim, 0.0),
-        Certificate("k_inside_domain", r_dom < cfg.gap_tol, r_dom, cfg.gap_tol),
+        Certificate("reducing", r_red, cfg.gap_tol),
+        Certificate("part_k_unitary", iso_dev, cfg.psd_tol),
+        Certificate("part_k_full_domain_range", codim, 0),
+        Certificate("part_k_perp_completely_nonunitary", cnu_dim, 0),
+        Certificate("k_inside_domain", r_dom, cfg.gap_tol),
     )
     return DecompositionResult(k, part_k, part_p, certificates, iterations)
 
@@ -253,17 +244,15 @@ def wold_decompose(relation: Relation,
 
     k_perp = k.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
-    k_unitary, iso_dev = _unitary_within(part_k, k, cfg)
-    r_wand = k_perp.gap(acc)
-    deg = float(n - k.dim) + float(wandering.dim)
+    iso_dev, codim = _unitary_within(part_k, k, cfg)
 
     certificates = (
-        Certificate("reducing", r_red < cfg.gap_tol, r_red, cfg.gap_tol),
-        Certificate("part_k_unitary", k_unitary, iso_dev, cfg.psd_tol),
-        Certificate("complement_is_wandering_sum", r_wand < cfg.gap_tol, r_wand, cfg.gap_tol),
-        Certificate("wandering_images_orthogonal", ortho_residual < cfg.gap_tol,
-                    ortho_residual, cfg.gap_tol),
-        Certificate("finite_dimensional_unitarity", deg == 0.0, deg, 0.0),
+        Certificate("reducing", r_red, cfg.gap_tol),
+        Certificate("part_k_unitary", iso_dev, cfg.psd_tol),
+        Certificate("part_k_full_domain_range", codim, 0),
+        Certificate("complement_is_wandering_sum", k_perp.gap(acc), cfg.gap_tol),
+        Certificate("wandering_images_orthogonal", ortho_residual, cfg.gap_tol),
+        Certificate("finite_dimensional_unitarity", n - k.dim + wandering.dim, 0),
     )
     return DecompositionResult(k, part_k, part_p, certificates, iterations, wandering=wandering)
 
@@ -284,15 +273,13 @@ def dissipative_decompose(relation: Relation,
     k_perp = Subspace(frame)
     k = k_perp.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
-    r_sa = _selfadjoint_within_gap(part_k, k, cfg)
-    mul_dim = float(_mul_dim(part_p, cfg))
     cns_dim = _unitary_dim(z_transform(compress(part_p, k_perp, cfg), 1j, cfg), cfg)
 
     certificates = (
-        Certificate("reducing", r_red < cfg.gap_tol, r_red, cfg.gap_tol),
-        Certificate("part_k_selfadjoint", r_sa < cfg.gap_tol, r_sa, cfg.gap_tol),
-        Certificate("part_k_perp_operator", mul_dim == 0.0, mul_dim, 0.0),
-        Certificate("part_k_perp_completely_nonselfadjoint", cns_dim == 0.0, cns_dim, 0.0),
+        Certificate("reducing", r_red, cfg.gap_tol),
+        Certificate("part_k_selfadjoint", _selfadjoint_within_gap(part_k, k, cfg), cfg.gap_tol),
+        Certificate("part_k_perp_operator", _mul_dim(part_p, cfg), 0),
+        Certificate("part_k_perp_completely_nonselfadjoint", cns_dim, 0),
     )
     return DecompositionResult(k, part_k, part_p, certificates, iterations)
 
@@ -390,18 +377,18 @@ def symmetric_wold_decompose(relation: Relation,
         sym_dev = _max_abs_eig(_dissipation_form(within)[0])
         shift = z_transform(within, 1j, cfg)
         iso_dev = _max_abs_eig(_contraction_form(shift)[0])
-        dom_codim = float(k.dim - _dom_dim(shift, cfg))
+        dom_codim = k.dim - _dom_dim(shift, cfg)
         unit_dim = _unitary_dim(shift, cfg)
     else:
         iso_dev = dom_codim = unit_dim = sym_dev = 0.0
 
     certificates = (
-        Certificate("reducing", r_red < cfg.gap_tol, r_red, cfg.gap_tol),
-        Certificate("part_k_perp_selfadjoint", r_sa < cfg.gap_tol, r_sa, cfg.gap_tol),
-        Certificate("part_k_symmetric", sym_dev <= cfg.psd_tol, sym_dev, cfg.psd_tol),
-        Certificate("transform_isometry_on_k", iso_dev <= cfg.psd_tol, iso_dev, cfg.psd_tol),
-        Certificate("transform_domain_full", dom_codim == 0.0, dom_codim, 0.0),
-        Certificate("transform_no_unitary_part", unit_dim == 0.0, unit_dim, 0.0),
+        Certificate("reducing", r_red, cfg.gap_tol),
+        Certificate("part_k_perp_selfadjoint", r_sa, cfg.gap_tol),
+        Certificate("part_k_symmetric", sym_dev, cfg.psd_tol),
+        Certificate("transform_isometry_on_k", iso_dev, cfg.psd_tol),
+        Certificate("transform_domain_full", dom_codim, 0),
+        Certificate("transform_no_unitary_part", unit_dim, 0),
     )
     return DecompositionResult(k, part_k, part_p, certificates, iterations, wandering=wandering)
 
@@ -421,7 +408,7 @@ def von_neumann_check(relation: Relation,
     def_minus = adj.deficiency(-1j, cfg)
     total = relation.graph.sum(def_plus.graph, cfg).sum(def_minus.graph, cfg)
     dims_ok = total.dim == relation.graph.dim + def_plus.graph.dim + def_minus.graph.dim
-    sum_ok = total.gap(adj.graph) < cfg.gap_tol
+    sum_ok = total.gap(adj.graph) <= cfg.gap_tol
     ortho_ok = True
     if _shifted_range_dim(relation, cfg) == relation.n:
         ortho_ok = relation.graph.is_orthogonal_to(def_minus.graph, cfg)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .relation import Relation, doubled
-from .subspace import DEFAULT_TOL, Certificate, Subspace, ToleranceConfig
+from .subspace import DEFAULT_TOL, Certificate, Certified, Subspace, ToleranceConfig
 from .ztransform import z_transform
 
 __all__ = [
@@ -62,7 +62,7 @@ def is_invariant(relation: Relation, k: Subspace,
         _sum_gap(mul, mul.intersect(k, cfg), mul.intersect(k_perp, cfg), cfg),
         relation.restrict(k, cfg).dom(cfg).gap(dom_k),
     )
-    return all(r < cfg.gap_tol for r in residuals)
+    return all(r <= cfg.gap_tol for r in residuals)
 
 
 def reduction_gap(relation: Relation, k: Subspace,
@@ -75,7 +75,7 @@ def is_reducing(relation: Relation, k: Subspace,
                 cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     if k.ambient_dim != relation.n:
         raise ValueError("subspace ambient dimension must equal the space dimension")
-    return reduction_gap(relation, k, cfg) < cfg.gap_tol
+    return reduction_gap(relation, k, cfg) <= cfg.gap_tol
 
 
 def orthogonal_relation_sum(first: Relation, second: Relation,
@@ -92,11 +92,11 @@ def compress(relation: Relation, k: Subspace,
              cfg: ToleranceConfig = DEFAULT_TOL) -> Relation:
     """Rewrite a relation with graph inside K (+) K in coordinates of K.
 
-    The containment check measures the residual delta of the graph frame
-    against K (+) K, below gap_tol < 1.  So the coordinates of the frame
-    in K have Gram error delta^2 (plus the input frame's own) and singular
-    values of at least sqrt(1 - delta^2): they have full column rank, and
-    one Householder QR orthonormalizes them with no rank read.
+    The containment check passes when the residual delta of the graph
+    frame against K (+) K is at most gap_tol < 1.  So the coordinates of
+    the frame in K have Gram error delta^2 (plus the input frame's own) and
+    singular values of at least sqrt(1 - delta^2): they have full column
+    rank, and one Householder QR orthonormalizes them with no rank read.
     """
     if not doubled(k).contains(relation.graph, cfg):
         raise ValueError("graph is not contained in the doubled subspace")
@@ -125,15 +125,16 @@ def adjoint_within(relation: Relation, k: Subspace,
 
 
 @dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(Certified):
     """Certificates attached to a candidate reducing subspace, in report
-    order; the first one is the ``reducing`` verdict."""
+    order; the first one is the ``reducing`` verdict.  ``ok`` is
+    ``passed``."""
 
     certificates: tuple
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.certificates)
+        return self.passed
 
     @property
     def reducing(self) -> bool:
@@ -162,8 +163,7 @@ def reduction_certificates(relation: Relation, k: Subspace,
     certificates = []
 
     def cert(name, residual):
-        residual = float(residual)
-        certificates.append(Certificate(name, residual < cfg.gap_tol, residual, cfg.gap_tol))
+        certificates.append(Certificate(name, residual, cfg.gap_tol))
 
     k_perp = k.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)

@@ -214,9 +214,9 @@ def _certificate_dicts(certificates) -> list:
     return [
         {
             "name": c.name,
-            "passed": bool(c.passed),
-            "residual": float(c.residual),
-            "tolerance": float(c.tolerance),
+            "passed": c.passed,
+            "residual": c.residual,
+            "tolerance": c.tolerance,
         }
         for c in certificates
     ]

@@ -163,7 +163,7 @@ class Relation:
         return self.graph.gap(other.graph)
 
     def equals(self, other: "Relation", cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-        return self.gap(other) < cfg.gap_tol
+        return self.gap(other) <= cfg.gap_tol
 
     # -- graph parts ----------------------------------------------------
 
@@ -232,9 +232,13 @@ class Relation:
         return Relation(Subspace(_complement_frame(flipped)))
 
     def restrict(self, space: Subspace, cfg: ToleranceConfig = DEFAULT_TOL) -> "Relation":
-        """Intersection with ``space (+) space`` (the restricted part)."""
+        """Intersection with ``space (+) space`` (the restricted part).  For
+        the whole space that is the whole doubled space, so the relation
+        itself is returned."""
         if space.ambient_dim != self.n:
             raise ValueError("subspace ambient dimension must equal the space dimension")
+        if space.dim == self.n:
+            return self
         return Relation(self.graph.intersect(doubled(space), cfg))
 
     def restrict_domain(self, space: Subspace, cfg: ToleranceConfig = DEFAULT_TOL) -> "Relation":
@@ -442,7 +446,7 @@ def classify(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> Classifi
 
     adj = relation.adjoint()
     sa_gap = relation.graph.gap(adj.graph)
-    is_selfadjoint = sa_gap < cfg.gap_tol
+    is_selfadjoint = sa_gap <= cfg.gap_tol
 
     is_unitary = is_isometry and dom_dim == n and _ran_dim(relation, cfg) == n
 

@@ -31,6 +31,11 @@ _FRAME_ATOL = 1e-8
 class ToleranceConfig:
     """Numerical thresholds governing every predicate in the package.
 
+    One rule reads them all: a residual passes when it is at or below its
+    tolerance.  A singular value at or below the rank cut is zero, a form
+    eigenvalue within psd_tol of zero is zero, and a gap at or below
+    gap_tol is equality.
+
     rank_tol
         Relative singular-value cutoff for rank decisions.  It must be
         below 1/sqrt(2): the lattice operations cut sines at
@@ -38,7 +43,7 @@ class ToleranceConfig:
     psd_tol
         Eigenvalue floor for positive-semidefiniteness tests.
     gap_tol
-        Projector-distance threshold below which subspaces are equal.  It
+        Projector-distance threshold at or below which subspaces are equal.  It
         must be below 1: a gap never exceeds 1, so a larger threshold
         would pass every containment and equality check.
     """
@@ -62,12 +67,36 @@ DEFAULT_TOL = ToleranceConfig()
 
 @dataclass(frozen=True)
 class Certificate:
-    """One verified claim: the residual that was compared to a tolerance."""
+    """One verified claim: a residual and its tolerance, held as floats.
+    The claim passes when the residual is at most the tolerance; a NaN
+    residual fails."""
 
     name: str
-    passed: bool
     residual: float
     tolerance: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "residual", float(self.residual))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tolerance
+
+
+class Certified:
+    """Verdict of a report that holds a tuple ``certificates``: it passes
+    when each of its certificates does."""
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.certificates)
+
+    def certificate(self, name: str) -> Certificate:
+        for cert in self.certificates:
+            if cert.name == name:
+                return cert
+        raise KeyError(name)
 
 
 def _as_matrix(vectors, ambient_dim=None) -> np.ndarray:
@@ -344,13 +373,13 @@ class Subspace:
         self._check_ambient(other)
         if other.dim == 0:
             return True
-        return _norm2(_residual(self.frame, other.frame)) < cfg.gap_tol
+        return _norm2(_residual(self.frame, other.frame)) <= cfg.gap_tol
 
     def is_orthogonal_to(self, other: "Subspace", cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
         self._check_ambient(other)
         if self.dim == 0 or other.dim == 0:
             return True
-        return _norm2(self.frame.conj().T @ other.frame) < cfg.gap_tol
+        return _norm2(self.frame.conj().T @ other.frame) <= cfg.gap_tol
 
     def direct_sum_check(self, other: "Subspace", cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
         """Orthogonality plus trivial intersection."""

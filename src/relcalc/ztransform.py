@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .relation import Relation, _finite_zeta, doubled
-from .subspace import DEFAULT_TOL, Certificate, Subspace, ToleranceConfig
+from .subspace import DEFAULT_TOL, Certificate, Certified, Subspace, ToleranceConfig
 
 __all__ = ["z_transform", "z_properties_check", "subspace_fixed_point_check", "ZPropertyReport"]
 
@@ -62,11 +62,11 @@ _IDENTITIES = ("involution", "containment", "negation", "inverse",
 
 
 @dataclass(frozen=True)
-class ZPropertyReport:
+class ZPropertyReport(Certified):
     """Per-identity verdicts of the Z-transform identity suite.
 
-    Each evaluated identity is a certificate whose residual was compared
-    against gap_tol; an identity whose hypothesis the supplied zeta or
+    Each evaluated identity is a certificate of its residual against
+    gap_tol; an identity whose hypothesis the supplied zeta or
     operands do not meet is not evaluated, and ``notes`` says why.
     ``results`` maps every identity, in suite order, to its verdict, or
     to None when it was not evaluated.
@@ -80,14 +80,6 @@ class ZPropertyReport:
     def results(self) -> dict:
         passed = {c.name: c.passed for c in self.certificates}
         return {name: passed.get(name) for name in _IDENTITIES}
-
-    @property
-    def residuals(self) -> dict:
-        return {c.name: c.residual for c in self.certificates}
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.certificates)
 
 
 def z_properties_check(t: Relation, s: Relation, zeta: complex,
@@ -116,8 +108,7 @@ def z_properties_check(t: Relation, s: Relation, zeta: complex,
         if unmet:
             notes[name] = unmet
             return
-        r = float(residual())
-        certificates.append(Certificate(name, r < cfg.gap_tol, r, cfg.gap_tol))
+        certificates.append(Certificate(name, residual(), cfg.gap_tol))
 
     zt = z_transform(t, zc, cfg)
     zs = z_transform(s, zc, cfg)

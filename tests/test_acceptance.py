@@ -67,7 +67,7 @@ def test_criterion_1_z_identity_suite():
                 if value is None:
                     continue
                 evaluated += 1
-                residual = report.residuals[key]
+                residual = report.certificate(key).residual
                 worst = max(worst, residual)
                 if not value or residual >= GAP:
                     failures.append((trial, zeta, key, residual))

@@ -194,6 +194,15 @@ def test_nfl_zero_operator():
     assert result.passed
 
 
+def test_nfl_trivial_k_keeps_the_relation(rng):
+    # K = {0}: the part on K-perp = C^n is V itself, and it reduces exactly
+    v = Relation.from_operator(gen.random_contraction_matrix(rng, 6))
+    result = nfl_decompose(v)
+    assert result.k.dim == 0
+    assert result.part_k_perp is v
+    assert result.certificate("reducing").residual == 0.0
+
+
 def test_nfl_recovers_construction(rng):
     for _ in range(10):
         k_dim = int(rng.integers(0, 4))

@@ -222,6 +222,13 @@ def test_restrict_full_and_zero(rng):
     assert t.restrict(Subspace.zero(3)).graph.dim == 0
 
 
+def test_restrict_to_whole_space_is_the_relation(rng):
+    # K (+) K is the whole doubled space, so the graph meets it in itself
+    t = gen.random_relation(rng, 3)
+    assert t.restrict(Subspace.full(3)) is t
+    assert t.restrict(Subspace(gen.random_unitary(rng, 3))) is t
+
+
 def test_restrict_diagonal():
     t = Relation.from_operator(np.diag([1.0, 2.0]))
     e1 = np.array([1.0, 0.0])

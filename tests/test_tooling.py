@@ -1,8 +1,13 @@
-"""The benchmark's span tracer names relcalc functions; they must exist."""
+"""The benchmark's span tracer names relcalc functions, and its checks read
+relcalc report attributes; they must exist."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+import relcalc as rc
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -26,3 +31,32 @@ def test_traced_names_exist_in_relcalc():
             if name not in owner:
                 missing.append(f"{layer}.{name}")
     assert not missing, sorted(missing)
+
+
+# The report attributes perfbench/workloads.py reads: z_properties_check's
+# ``results`` (line 152), reduction_certificates' ``ok``, ``residuals`` and
+# ``reducing`` (lines 174 and 178), run_shift_example's ``passed``,
+# ``certificates`` and ``info`` (lines 288-290) and a decomposition's ``k``
+# (line 297).
+BENCHMARK_READS = {
+    "z_properties_check": ("results",),
+    "reduction_certificates": ("ok", "residuals", "reducing"),
+    "run_shift_example": ("passed", "certificates", "info"),
+    "symmetric_wold_decompose": ("k",),
+}
+
+
+def test_report_views_read_by_the_benchmark_exist():
+    t = rc.Relation.from_operator(np.diag([1.0, 2.0]))
+    k = rc.Subspace.from_basis_indices(2, [0])
+    w = rc.WindowConfig(n=16)
+    reports = {
+        "z_properties_check": rc.z_properties_check(t, t, 1j),
+        "reduction_certificates": rc.reduction_certificates(t, k),
+        "run_shift_example": rc.run_shift_example(w),
+        "symmetric_wold_decompose": rc.symmetric_wold_decompose(
+            rc.build_multivalued_extension(w), require_maximal=False),
+    }
+    missing = [f"{call}.{name}" for call, names in BENCHMARK_READS.items()
+               for name in names if not hasattr(reports[call], name)]
+    assert not missing, missing

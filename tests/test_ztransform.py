@@ -111,7 +111,7 @@ def test_properties_check_random(rng):
             t = gen.random_relation(rng, n)
             s = gen.random_relation(rng, n)
             report = z_properties_check(t, s, zeta)
-            assert report.all_passed, (zeta, report.results, report.residuals)
+            assert report.passed, (zeta, report.certificates)
 
 
 def test_properties_check_containment_pair(rng):
@@ -152,9 +152,8 @@ def test_properties_check_certificates(rng, zeta):
             else:
                 cert = by_name[name]
                 assert cert.tolerance == cfg.gap_tol
-                assert verdict is cert.passed is (cert.residual < cfg.gap_tol)
+                assert verdict is cert.passed is (cert.residual <= cfg.gap_tol)
         assert [c.name for c in report.certificates] == [k for k in SUITE if k in by_name]
-        assert report.residuals == {c.name: c.residual for c in report.certificates}
 
 
 def test_orthogonal_sum_property(rng):
