@@ -3,14 +3,14 @@
 Subcommands: ``classify``, ``ztransform``, ``decompose``, ``certify`` and
 ``example``.  Exit codes: 0 on success, 1 when a certificate failed,
 2 on input errors, which are every ``ValueError`` (``DocumentError``
-included; argparse uses 2 for bad flags as well).
+included, and with it a file that cannot be read or written; argparse
+uses 2 for bad flags as well).
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import sys
 from pathlib import Path
 
@@ -84,6 +84,13 @@ def _read_text(path: str) -> str:
         raise relio.DocumentError(f"{path}: {exc.strerror or exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise relio.DocumentError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _load_relation(path: str):
     doc = relio.load_relation_document(_read_text(path))
     return doc.relation, (doc.tolerances or DEFAULT_TOL)
@@ -100,10 +107,9 @@ def _parse_zeta(text: str) -> complex:
     return zeta
 
 
-def _emit(document: dict, path: str | None) -> None:
-    text = json.dumps(document, indent=2)
+def _emit(text: str, path: str | None) -> None:
     if path:
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        _write_text(path, text)
     else:
         print(text)
 
@@ -119,7 +125,7 @@ def _cmd_classify(args) -> int:
     relation, cfg = _load_relation(args.file)
     document = relio.classification_document(relation, cfg)
     if args.json:
-        print(json.dumps(document, indent=2))
+        print(relio.dumps(document))
         return 0
     print(f"space dimension: {document['space_dim']}")
     parts = document["parts"]
@@ -135,11 +141,7 @@ def _cmd_ztransform(args) -> int:
     relation, cfg = _load_relation(args.file)
     zeta = _parse_zeta(args.zeta)
     image = z_transform(relation, zeta, cfg)
-    text = relio.emit_relation(image, name=f"ztransform({zeta})")
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _emit(relio.emit_relation(image, name=f"ztransform({zeta})"), args.output)
     return 0
 
 
@@ -147,7 +149,7 @@ def _cmd_decompose(args) -> int:
     relation, cfg = _load_relation(args.file)
     result = _MODES[args.mode](relation, cfg)
     document = relio.decomposition_document(args.mode, relation, result, cfg)
-    _emit(document, args.report)
+    _emit(relio.dumps(document), args.report)
     if args.report:
         print(f"mode {args.mode}: K has dimension {result.k.dim} of {relation.n}")
         _print_certificates(document["certificates"])
@@ -159,7 +161,7 @@ def _cmd_certify(args) -> int:
     space = relio.parse_subspace(_read_text(args.subspace), cfg)
     report = reduction_certificates(relation, space, cfg)
     document = relio.reduction_document(relation, space, report, cfg)
-    _emit(document, args.report)
+    _emit(relio.dumps(document), args.report)
     if args.report:
         _print_certificates(document["certificates"])
     return 0 if report.passed else 1
@@ -170,7 +172,7 @@ def _cmd_example(args) -> int:
     report = run_shift_example(window)
     document = relio.example_document(report)
     if args.report:
-        _emit(document, args.report)
+        _write_text(args.report, relio.dumps(document))
     print(f"shift model at n={window.n}, margin={window.margin}:")
     _print_certificates(document["certificates"])
     print("all window assertions passed" if report.passed else "window assertions FAILED")

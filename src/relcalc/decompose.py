@@ -34,6 +34,7 @@ from .relation import (
     _contraction_form,
     _dissipation_form,
     _dom_dim,
+    _full_domain_matrix,
     _is_symmetric,
     _max_abs_eig,
     _min_eig,
@@ -138,7 +139,11 @@ def _nonunitary_hull(relation: Relation, cfg: ToleranceConfig):
     ran D + ran D*, with D = I - V^H V and D* = I - V V^H (Van Dooren 1981,
     Paige 1981): the invariant hull of one SVD of [D, D*] under both maps.
     """
-    matrix = operator_matrix(maximalize_contraction(relation, cfg), cfg)
+    padded = maximalize_contraction(relation, cfg)
+    # A contraction whose domain is already full comes back as itself, and
+    # maximalize_contraction has read the rank of its F.
+    matrix = (_full_domain_matrix(padded) if padded is relation
+              else operator_matrix(padded, cfg))
     matrix_h = matrix.conj().T
     eye = np.eye(matrix.shape[0])
     defects = np.hstack([eye - matrix_h @ matrix, eye - matrix @ matrix_h])
@@ -217,7 +222,7 @@ def wold_decompose(relation: Relation,
     if (_max_abs_eig(_contraction_form(relation)[0]) > cfg.psd_tol
             or _dom_dim(relation, cfg) != relation.n):
         raise ValueError("relation is not an everywhere-defined isometry")
-    matrix = operator_matrix(relation, cfg)
+    matrix = _full_domain_matrix(relation)
     n = relation.n
 
     # ran V^{m+1} is contained in ran V^m, so the chain needs no

@@ -6,6 +6,9 @@ the space dimension and the two generator blocks F, G (row-major, shape
 n x r); parsing spans the stacked generators, so round-tripping reproduces
 the graph up to frame equivalence.  Malformed documents raise
 :class:`DocumentError` with the offending key path.
+
+Every document relcalc writes goes through :func:`dumps`: one top-level key
+per line, each value compact on its line.  The reader accepts any layout.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .subspace import DEFAULT_TOL, Subspace, ToleranceConfig
 __all__ = [
     "DocumentError",
     "RelationDocument",
+    "dumps",
     "parse_relation",
     "emit_relation",
     "parse_subspace",
@@ -40,8 +44,17 @@ class DocumentError(ValueError):
     """Malformed document; the message carries the key path or text position."""
 
 
+def dumps(document: dict) -> str:
+    """Text of a document: one top-level key per line, each value written
+    by the C encoder (``json.dumps`` without ``indent``, which would select
+    the pure-Python one).  Floats print as ``float.__repr__`` either way."""
+    lines = (f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in document.items())
+    return "{\n" + ",\n".join(lines) + "\n}"
+
+
 def _encode_matrix(matrix: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
+    matrix = np.asarray(matrix, dtype=complex)
+    return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
 
 
 def _decode_entry(obj, path: str) -> complex:
@@ -180,7 +193,7 @@ def emit_relation(relation: Relation, name: str | None = None,
         doc["name"] = name
     if tolerances is not None:
         doc["tolerances"] = _tolerances_dict(tolerances)
-    return json.dumps(doc, indent=2)
+    return dumps(doc)
 
 
 def parse_subspace(text: str, cfg: ToleranceConfig = DEFAULT_TOL) -> Subspace:
@@ -198,9 +211,7 @@ def parse_subspace(text: str, cfg: ToleranceConfig = DEFAULT_TOL) -> Subspace:
 
 
 def emit_subspace(space: Subspace) -> str:
-    return json.dumps(
-        {"dim": space.ambient_dim, "vectors": _encode_matrix(space.frame.T)}, indent=2
-    )
+    return dumps({"dim": space.ambient_dim, "vectors": _encode_matrix(space.frame.T)})
 
 
 # -- report documents --------------------------------------------------

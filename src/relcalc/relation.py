@@ -363,8 +363,16 @@ def operator_matrix(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> n
     say that the square top block F has rank n, and then the matrix is
     G F^{-1}.
     """
-    n = relation.n
-    if relation.graph.dim != n or _dom_dim(relation, cfg) != n:
+    if _dom_dim(relation, cfg) != relation.n:
+        raise ValueError("relation is not an everywhere-defined operator")
+    return _full_domain_matrix(relation)
+
+
+def _full_domain_matrix(relation: Relation) -> np.ndarray:
+    """``operator_matrix`` of a relation whose F is already known to have
+    rank n, for callers that read that rank themselves: only mul T = {0},
+    an n-dimensional graph, is left to check."""
+    if relation.graph.dim != relation.n:
         raise ValueError("relation is not an everywhere-defined operator")
     return np.linalg.solve(relation.F.T, relation.G.T).T
 

@@ -26,7 +26,9 @@ both cut at ``rank_tol`` as the library did before it mapped frames
 without a factorization.  ``span_dims`` reads the dimensions of the four
 graph parts and of ran(T + iI) from the frames that ``dom``, ``ran``,
 ``ker``, ``mul`` and a span build, and ``span_rank`` the rank of a matrix
-from its spanned frame.
+from its spanned frame.  ``loop_encode_matrix`` writes a matrix as rows of
+``[re, im]`` pairs one entry at a time, as the documents were written
+before one numpy call built them.
 """
 
 import numpy as np
@@ -197,3 +199,7 @@ def span_dims(relation, cfg=DEFAULT_TOL):
         "mul": relation.mul(cfg).dim,
         "shifted_range": Subspace.span(shifted, cfg, ambient_dim=relation.n, scale=1.0).dim,
     }
+
+
+def loop_encode_matrix(matrix):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]

@@ -56,6 +56,17 @@ def test_maximalize_rejects_noncontraction():
         maximalize_contraction(Relation.from_operator(2.0 * np.eye(2)))
 
 
+def test_full_domain_with_multivalued_part_is_not_an_operator():
+    # Under psd_tol = 1 the whole of C^1 (+) C^1 passes as a contraction and
+    # an isometry of full domain; its multivalued part still stops the
+    # engines at the matrix.
+    everything = Relation(Subspace.full(2))
+    loose = ToleranceConfig(psd_tol=1.0)
+    for engine in (unitary_part_subspace, wold_decompose):
+        with pytest.raises(ValueError, match="not an everywhere-defined operator"):
+            engine(everything, loose)
+
+
 def test_maximalized_graph_dimension(rng):
     for _ in range(10):
         v = gen.random_contraction_relation(rng, 4)

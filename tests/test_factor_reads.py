@@ -13,6 +13,8 @@ from relcalc import (
     compress,
     maximalize_contraction,
     operator_matrix,
+    unitary_part_subspace,
+    wold_decompose,
     z_transform,
 )
 from relcalc import shiftmodel
@@ -220,3 +222,19 @@ def test_dimension_sites_factor_no_vectors(monkeypatch, rng):
     calls.clear()
     shiftmodel._window_probe(w, op, kernel, DEFAULT_TOL)
     assert len(calls) == 10 and vector_svds() == [] and all(c[0] == "svd" for c in calls)
+
+
+def test_unitary_part_hull_reads_the_rank_of_f_once(monkeypatch, rng):
+    v = Relation.from_operator(gen.random_contraction_matrix(rng, 6))
+    u = Relation.from_operator(gen.random_unitary(rng, 5))
+    calls = record_linalg_calls(monkeypatch)
+
+    # maximalize_contraction's guard reads it; the matrix is solved for
+    # without a second read.
+    unitary_part_subspace(v)
+    assert [c for c in calls if not c[2]] == [("svd", (6, 6), False)]
+
+    # Wold's guard reads it; the next factorization spans ran V.
+    calls.clear()
+    wold_decompose(u)
+    assert calls[0] == ("svd", (5, 5), False) and calls[1][2]

@@ -8,15 +8,30 @@ from relcalc import (
     DocumentError,
     Relation,
     Subspace,
+    ToleranceConfig,
+    WindowConfig,
     emit_relation,
     emit_subspace,
+    nfl_decompose,
     parse_relation,
     parse_subspace,
+    reduction_certificates,
+    run_shift_example,
+    symmetric_wold_decompose,
 )
 from relcalc.cli import main
-from relcalc.io import load_relation_document
+from relcalc.io import (
+    _encode_matrix,
+    classification_document,
+    decomposition_document,
+    dumps,
+    example_document,
+    load_relation_document,
+    reduction_document,
+)
 
 import gen
+from reference import loop_encode_matrix
 
 
 def _write(tmp_path, name, text):
@@ -112,6 +127,74 @@ def test_subspace_round_trip(rng):
     assert again.gap(s) < 1e-8
     with pytest.raises(DocumentError):
         parse_subspace('{"dim": 2, "vectors": [[1, 2]]}')
+
+
+def test_encode_matrix_matches_loop_encoder(rng):
+    edge = np.array([[-0.0, 5e-324, 1e308], [-1e308, -5e-324, 0.0]])
+    matrices = [
+        edge,
+        edge + 1j * edge[::-1],
+        1j * edge,
+        gen.complex_matrix(rng, 4, 3),
+        np.zeros((3, 0), dtype=complex),
+        np.zeros((0, 2), dtype=complex),
+        np.zeros((0, 0)),
+    ]
+    for matrix in matrices:
+        # repr tells -0.0 from 0.0 and a float from an int
+        assert repr(_encode_matrix(matrix)) == repr(loop_encode_matrix(matrix))
+
+
+def _written_documents(rng):
+    """(text relcalc writes, the same document written with indent=2 and
+    the per-entry encoder) for every kind of document."""
+    t = gen.random_dissipative(rng, 4)
+    cfg = ToleranceConfig(gap_tol=1e-7)
+    tolerances = {"rank_tol": cfg.rank_tol, "psd_tol": cfg.psd_tol, "gap_tol": cfg.gap_tol}
+    relation = {"dim": t.n, "F": loop_encode_matrix(t.F), "G": loop_encode_matrix(t.G),
+                "name": "t", "tolerances": tolerances}
+    space = gen.random_subspace(rng, 4, 2)
+    pairs = [
+        (emit_relation(t, name="t", tolerances=cfg), json.dumps(relation, indent=2)),
+        (emit_subspace(space), json.dumps(
+            {"dim": 4, "vectors": loop_encode_matrix(space.frame.T)}, indent=2)),
+    ]
+    whole, k = gen.random_reducing_pair(rng, 4, 2)
+    documents = [
+        classification_document(t),
+        reduction_document(whole, k, reduction_certificates(whole, k)),
+        example_document(run_shift_example(WindowConfig(n=16))),
+    ]
+    for doc in documents:
+        pairs.append((dumps(doc), json.dumps(doc, indent=2)))
+    v = gen.block_contraction(rng, 2, 2)[0]
+    shifted = gen.random_shift_symmetric(rng, [2], 1)[0]
+    for mode, relation, result in [
+        ("nfl", v, nfl_decompose(v)),
+        ("symmetric", shifted, symmetric_wold_decompose(shifted, require_maximal=False)),
+    ]:
+        doc = decomposition_document(mode, relation, result)
+        reference = dict(doc, k_frame=loop_encode_matrix(result.k.frame))
+        if result.wandering is not None:
+            reference["wandering_frame"] = loop_encode_matrix(result.wandering.frame)
+        pairs.append((dumps(doc), json.dumps(reference, indent=2)))
+    assert ['"wandering_frame"' in text for text, _ in pairs[-2:]] == [False, True]
+    return pairs
+
+
+def test_written_documents_parse_as_indented_ones(rng):
+    for text, indented in _written_documents(rng):
+        # repr tells -0.0 from 0.0, a float from an int and keeps key order
+        assert repr(json.loads(text)) == repr(json.loads(indented))
+
+
+def test_written_documents_put_one_top_level_key_per_line(rng):
+    for text, _ in _written_documents(rng):
+        lines = text.split("\n")
+        assert lines[0] == "{" and lines[-1] == "}"
+        keys = [next(iter(json.loads("{" + line.removesuffix(",") + "}")))
+                for line in lines[1:-1]]
+        assert keys == list(json.loads(text))
 
 
 # -- command line -------------------------------------------------------
@@ -255,6 +338,34 @@ def test_cli_example_window_without_delta2_exits_two(capsys):
     assert captured.err.startswith("error:") and "delta_2" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["ztransform", "{file}", "-o", "{out}"],
+    ["decompose", "--mode", "nfl", "{file}", "--report", "{out}"],
+    ["certify", "--subspace", "{subspace}", "{file}", "--report", "{out}"],
+    ["example", "shift", "--n", "16", "--report", "{out}"],
+], ids=["ztransform", "decompose", "certify", "example"])
+def test_cli_unwritable_output_exits_two(tmp_path, capsys, command):
+    paths = {
+        "file": _relation_file(tmp_path, Relation.from_operator(np.diag([0.5, 1.0]))),
+        "subspace": _write(tmp_path, "k.json", emit_subspace(Subspace.from_basis_indices(2, [0]))),
+        "out": str(tmp_path / "missing_dir" / "out.json"),
+    }
+    assert main([arg.format(**paths) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths['out']}: ") and "Traceback" not in err
+
+
+def test_cli_written_documents_put_one_top_level_key_per_line(tmp_path, capsys):
+    path = _relation_file(tmp_path, Relation.from_operator(np.diag([0.5, 1.0])))
+    out = tmp_path / "report.json"
+    assert main(["decompose", "--mode", "nfl", path, "--report", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["classify", "--json", path]) == 0
+    for text in (out.read_text(), capsys.readouterr().out):
+        doc = json.loads(text)
+        assert text.strip() == dumps(doc)
 
 
 def test_cli_input_errors(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """The benchmark's span tracer names relcalc functions, and its checks read
-relcalc report attributes; they must exist."""
+relcalc report attributes; they must exist.  Every document relcalc writes
+goes through ``io.dumps``."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -9,7 +11,9 @@ import numpy as np
 
 import relcalc as rc
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+SOURCES = ROOT / "src" / "relcalc"
 
 
 def _load_spans():
@@ -60,3 +64,37 @@ def test_report_views_read_by_the_benchmark_exist():
     missing = [f"{call}.{name}" for call, names in BENCHMARK_READS.items()
                for name in names if not hasattr(reports[call], name)]
     assert not missing, missing
+
+
+def _json_dumps_calls(tree):
+    """(enclosing function, call) for each ``json.dumps(...)`` in a module."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "dumps"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+            found.append((function, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_documents_are_written_by_io_dumps_alone():
+    # json.dumps with an indent runs the pure-Python encoder; io.dumps lays
+    # out the top level itself and writes each value with the C one.
+    callers, indented, imported = set(), [], []
+    for path in sorted(SOURCES.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported += [path.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module == "json"]
+        for function, call in _json_dumps_calls(tree):
+            callers.add(f"{path.stem}.{function}")
+            if any(keyword.arg == "indent" for keyword in call.keywords):
+                indented.append(f"{path.name}:{call.lineno}")
+    assert callers == {"io.dumps"}
+    assert indented == [] and imported == []
