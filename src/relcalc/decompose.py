@@ -34,14 +34,12 @@ from .relation import (
     _contraction_form,
     _dissipation_form,
     _dom_dim,
-    _full_domain_matrix,
     _is_symmetric,
     _max_abs_eig,
     _min_eig,
     _mul_dim,
     _ran_dim,
     _shifted_range_dim,
-    operator_matrix,
 )
 from .subspace import (
     DEFAULT_TOL,
@@ -88,21 +86,34 @@ class DecompositionResult(Certified):
     wandering: Subspace | None = None
 
 
+def _padded_matrix(relation: Relation, w: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """G F^+, the relation on dom T = ran F padded by 0.  The frame is
+    orthonormal, so F*F = (I + C)/2 for the contraction form C with
+    eigenvalues ``w``.  F has a kernel (mul T) when (1 + min w)/2 is at most
+    rank_tol^2 or sqrt(eps), which w does not resolve; else F^+ = (F*F)^-1 F*."""
+    if (1 + _min_eig(w)) / 2 <= max(cfg.rank_tol ** 2, np.sqrt(np.finfo(float).eps)):
+        raise ValueError("relation is not an everywhere-defined operator")
+    f_h = relation.F.conj().T
+    return relation.G @ np.linalg.solve(f_h @ relation.F, f_h)
+
+
+def _contraction_matrix(relation: Relation, cfg: ToleranceConfig) -> np.ndarray:
+    """``_padded_matrix`` of a contraction; raises for any other relation."""
+    w = _contraction_form(relation)[0]
+    if _min_eig(w) < -cfg.psd_tol:
+        raise ValueError("relation is not a contraction")
+    return _padded_matrix(relation, w, cfg)
+
+
 def maximalize_contraction(relation: Relation,
                            cfg: ToleranceConfig = DEFAULT_TOL) -> Relation:
     """Extend a contraction to a maximal one by sending (dom V)-perp to 0.
 
     The padded relation is an everywhere-defined contraction operator
-    containing the input; it equals the input when the domain is already
-    the whole space.
+    containing the input, or the input itself when its domain is full.
     """
-    if _min_eig(_contraction_form(relation)[0]) < -cfg.psd_tol:
-        raise ValueError("relation is not a contraction")
-    if _dom_dim(relation, cfg) == relation.n:
-        return relation
-    pad = relation.dom(cfg).complement()
-    w_frame = np.vstack([pad.frame, np.zeros_like(pad.frame)])
-    return Relation(relation.graph.sum(Subspace(w_frame), cfg))
+    matrix = _contraction_matrix(relation, cfg)
+    return relation if relation.graph.dim == relation.n else Relation.from_operator(matrix, cfg)
 
 
 def _invariant_hull(frame: np.ndarray, images_of, cfg: ToleranceConfig):
@@ -130,20 +141,15 @@ def _invariant_hull(frame: np.ndarray, images_of, cfg: ToleranceConfig):
         frame = np.hstack([frame, added])
 
 
-def _nonunitary_hull(relation: Relation, cfg: ToleranceConfig):
+def _nonunitary_hull(matrix: np.ndarray, cfg: ToleranceConfig):
     """Frame of the complement of the unitary part of a closed contraction,
-    and the number of hull rounds that found it.
+    padded by zero outside its domain to the matrix V, and the number of
+    hull rounds that found it.
 
-    The contraction is padded to an everywhere-defined matrix V first.
     K-perp is the smallest subspace invariant under V and V^H that contains
     ran D + ran D*, with D = I - V^H V and D* = I - V V^H (Van Dooren 1981,
     Paige 1981): the invariant hull of one SVD of [D, D*] under both maps.
     """
-    padded = maximalize_contraction(relation, cfg)
-    # A contraction whose domain is already full comes back as itself, and
-    # maximalize_contraction has read the rank of its F.
-    matrix = (_full_domain_matrix(padded) if padded is relation
-              else operator_matrix(padded, cfg))
     matrix_h = matrix.conj().T
     eye = np.eye(matrix.shape[0])
     defects = np.hstack([eye - matrix_h @ matrix, eye - matrix @ matrix_h])
@@ -155,8 +161,9 @@ def _nonunitary_hull(relation: Relation, cfg: ToleranceConfig):
 
 
 def _unitary_dim(relation: Relation, cfg: ToleranceConfig) -> int:
-    """Dimension of the unitary part, read from its complement's frame."""
-    frame = _nonunitary_hull(relation, cfg)[0]
+    """Dimension of the unitary part of a decomposition's part, read from
+    its complement's frame; the part is judged by certificates, not here."""
+    frame = _nonunitary_hull(_padded_matrix(relation, _contraction_form(relation)[0], cfg), cfg)[0]
     return frame.shape[0] - frame.shape[1]
 
 
@@ -165,7 +172,7 @@ def unitary_part_subspace(relation: Relation,
     """Unitary-part subspace of a closed contraction (padded by zero
     outside its domain, as in ``nfl_decompose``): the complement of the
     hull frame."""
-    return Subspace(_nonunitary_hull(relation, cfg)[0]).complement()
+    return Subspace(_nonunitary_hull(_contraction_matrix(relation, cfg), cfg)[0]).complement()
 
 
 def _unitary_within(relation: Relation, space: Subspace, cfg: ToleranceConfig):
@@ -188,7 +195,7 @@ def nfl_decompose(relation: Relation,
                   cfg: ToleranceConfig = DEFAULT_TOL) -> DecompositionResult:
     """Split a closed contraction into unitary and completely nonunitary
     parts.  K-perp is the hull frame as it is, and K its complement."""
-    frame, iterations = _nonunitary_hull(relation, cfg)
+    frame, iterations = _nonunitary_hull(_contraction_matrix(relation, cfg), cfg)
     k_perp = Subspace(frame)
     k = k_perp.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
@@ -219,10 +226,11 @@ def wold_decompose(relation: Relation,
     ``||frame^H V added||_2`` over its rounds, so an image inside a sum that
     already fills the space is not measured.
     """
-    if (_max_abs_eig(_contraction_form(relation)[0]) > cfg.psd_tol
-            or _dom_dim(relation, cfg) != relation.n):
+    w = _contraction_form(relation)[0]
+    # With no multivalued part, dom T is n-dimensional when the graph is.
+    if _max_abs_eig(w) > cfg.psd_tol or relation.graph.dim < relation.n:
         raise ValueError("relation is not an everywhere-defined isometry")
-    matrix = _full_domain_matrix(relation)
+    matrix = _padded_matrix(relation, w, cfg)
     n = relation.n
 
     # ran V^{m+1} is contained in ran V^m, so the chain needs no
@@ -272,9 +280,12 @@ def dissipative_decompose(relation: Relation,
     is an operator: a multivalued part of a closed dissipative relation can
     only live inside the selfadjoint part.
     """
-    if _min_eig(_dissipation_form(relation)[0]) < -cfg.psd_tol:
+    w = _dissipation_form(relation)[0]
+    if _min_eig(w) < -cfg.psd_tol:
         raise ValueError("relation is not dissipative")
-    frame, iterations = _nonunitary_hull(z_transform(relation, 1j, cfg), cfg)
+    # T's dissipation form is the contraction form of Z_i(T).
+    transform = z_transform(relation, 1j, cfg)
+    frame, iterations = _nonunitary_hull(_padded_matrix(transform, w, cfg), cfg)
     k_perp = Subspace(frame)
     k = k_perp.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)

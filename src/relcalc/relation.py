@@ -363,16 +363,7 @@ def operator_matrix(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> n
     say that the square top block F has rank n, and then the matrix is
     G F^{-1}.
     """
-    if _dom_dim(relation, cfg) != relation.n:
-        raise ValueError("relation is not an everywhere-defined operator")
-    return _full_domain_matrix(relation)
-
-
-def _full_domain_matrix(relation: Relation) -> np.ndarray:
-    """``operator_matrix`` of a relation whose F is already known to have
-    rank n, for callers that read that rank themselves: only mul T = {0},
-    an n-dimensional graph, is left to check."""
-    if relation.graph.dim != relation.n:
+    if relation.graph.dim != relation.n or _dom_dim(relation, cfg) != relation.n:
         raise ValueError("relation is not an everywhere-defined operator")
     return np.linalg.solve(relation.F.T, relation.G.T).T
 
@@ -384,9 +375,11 @@ def _form_eigh(form: np.ndarray):
 
 
 def _dissipation_form(relation: Relation):
-    """Eigenvalues and eigenvectors of the dissipation form (F*G - G*F)/2i."""
+    """Eigenvalues and eigenvectors of the dissipation form (F*G - G*F)/i:
+    in the same coefficients, the contraction form of the Z transform at i,
+    which maps the frame to [G + iF; -i(G - iF)] / sqrt(2)."""
     f, g = relation.F, relation.G
-    return _form_eigh((f.conj().T @ g - g.conj().T @ f) / 2j)
+    return _form_eigh((f.conj().T @ g - g.conj().T @ f) / 1j)
 
 
 def _contraction_form(relation: Relation):
@@ -433,7 +426,7 @@ def classify(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> Classifi
 
     With generators (F, G) the quantified definitions reduce to eigenvalue
     tests of small Hermitian matrices: the dissipation form
-    (F*G - G*F)/2i is PSD iff the relation is dissipative and vanishes iff
+    (F*G - G*F)/i is PSD iff the relation is dissipative and vanishes iff
     it is symmetric, while F*F - G*G being PSD (resp. zero) captures the
     contraction (resp. isometry) inequality.  Maximality of a dissipative
     relation is the range criterion ran(T + iI) = C^n.

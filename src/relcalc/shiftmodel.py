@@ -200,24 +200,19 @@ def window_assert(lhs, rhs, w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL)
 
 
 @dataclass(frozen=True)
-class SpectralProbe:
+class SpectralProbe(Certified):
     """Finite-truncation spectral probes of the symmetric operator.
 
-    ``eigenvalue_free`` asserts trivial kernels of A - zeta at the sampled
-    points; ``deficiency_direction`` asserts delta_1 inside
-    ker(A* + i) = ran(A - i)-perp, with the residual of that containment.
+    ``probe_no_eigenvalues`` certifies trivial kernels of A - zeta at the
+    sampled points, whose dimensions ``eigenvalue_free`` keeps, and
+    ``probe_deficiency_direction`` delta_1 inside ker(A* + i) = ran(A - i)-perp.
     ``adjoint_kernel_dims`` is reported only: the truncation distorts the
     adjoint's eigenspaces away from the probe direction.
     """
 
+    certificates: tuple
     eigenvalue_free: dict
-    deficiency_direction: bool
-    deficiency_residual: float
     adjoint_kernel_dims: dict
-
-    @property
-    def ok(self) -> bool:
-        return all(d == 0 for d in self.eigenvalue_free.values()) and self.deficiency_direction
 
 
 def spectral_window_probe(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> SpectralProbe:
@@ -231,26 +226,22 @@ def _window_probe(w: WindowConfig, op: Relation, minus_i_kernel: Subspace,
     Dimensions come from singular values alone: dim ker(A - zeta) as
     ``deficiency`` cuts it (``_deficiency_dim``), dim ker(A* - conj zeta)
     as N - rank(G - zeta F), the range rank that ``classify_point`` reads."""
-    samples = [1j, -1j, 0.0, 1.0, 1.0 + 1j]
-    kernel_dims = {}
-    for zeta in samples:
-        kernel_dims[str(complex(zeta))] = _deficiency_dim(op, zeta, cfg)
+    kernel_dims = {str(complex(zeta)): _deficiency_dim(op, zeta, cfg)
+                   for zeta in (1j, -1j, 0.0, 1.0, 1.0 + 1j)}
 
     probe = delta_span(w, [1])
     residual = _norm2(_residual(minus_i_kernel.frame, probe.frame))
 
-    lower_samples = [-1j, -2j, 1.0 - 1j, -0.5 - 0.5j]
     adjoint_dims = {}
-    for zeta in lower_samples:
+    for zeta in (-1j, -2j, 1.0 - 1j, -0.5 - 0.5j):
         rank = _rank_of(op.G - zeta * op.F, cfg.rank_tol, scale=max(1.0, abs(zeta)))
         adjoint_dims[str(complex(zeta))] = w.n - rank
 
-    return SpectralProbe(
-        eigenvalue_free=kernel_dims,
-        deficiency_direction=residual <= cfg.gap_tol,
-        deficiency_residual=residual,
-        adjoint_kernel_dims=adjoint_dims,
+    certificates = (
+        Certificate("probe_no_eigenvalues", sum(kernel_dims.values()), 0),
+        Certificate("probe_deficiency_direction", residual, 1e-12),
     )
+    return SpectralProbe(certificates, kernel_dims, adjoint_dims)
 
 
 @dataclass(frozen=True)
@@ -375,8 +366,7 @@ def run_shift_example(w: WindowConfig, cfg: ToleranceConfig = DEFAULT_TOL) -> Sh
     )
 
     probe = _window_probe(w, op, deficiency_dir, cfg)
-    cert("probe_no_eigenvalues", sum(probe.eigenvalue_free.values()), 0)
-    cert("probe_deficiency_direction", probe.deficiency_residual, 1e-12)
+    certificates += probe.certificates
 
     # The residual counts the model's predicates that fail.
     ext_mul = extension.mul(cfg)

@@ -10,6 +10,7 @@ dimension may drop and nothing here assumes it is preserved.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,18 +111,21 @@ def z_properties_check(t: Relation, s: Relation, zeta: complex,
             return
         certificates.append(Certificate(name, residual(), cfg.gap_tol))
 
-    zt = z_transform(t, zc, cfg)
+    # Z_point(T) once per point: negation, inverse and adjoint share
+    # Z_{conj zeta}(T), which is Z_{-zeta}(T) at imaginary zeta.
+    z_of_t = functools.cache(lambda point: z_transform(t, point, cfg))
+    zt = z_of_t(zc)
     zs = z_transform(s, zc, cfg)
 
     check("involution", None, lambda: z_transform(zt, zc, cfg).gap(t))
     check("containment", None,
           lambda: s.graph.contains(t.graph, cfg) != zs.graph.contains(zt.graph, cfg))
-    check("negation", None, lambda: z_transform(t, -zc, cfg).gap(
+    check("negation", None, lambda: z_of_t(-zc).gap(
         z_transform(t.scale(-1.0, cfg), zc, cfg).scale(-1.0, cfg)))
 
     def inverse_residual():
         z_inv = z_transform(t.inverse(), zc, cfg)
-        return max(z_inv.gap(z_transform(t, np.conj(zc), cfg)), z_inv.gap(zt.inverse()))
+        return max(z_inv.gap(z_of_t(np.conj(zc))), z_inv.gap(zt.inverse()))
 
     check("inverse", None if abs(abs(zc) - 1.0) < 1e-12 else "requires |zeta| = 1",
           inverse_residual)
@@ -129,6 +133,7 @@ def z_properties_check(t: Relation, s: Relation, zeta: complex,
     real = None if zc.imag else "requires non-real zeta"
     graph_sum = None if real else t.graph.sum(s.graph, cfg)
 
+    @functools.cache  # shared by direct_sum and orthogonal_sum
     def sum_residual():
         return z_transform(Relation(graph_sum), zc, cfg).graph.gap(zt.graph.sum(zs.graph, cfg))
 
@@ -142,7 +147,7 @@ def z_properties_check(t: Relation, s: Relation, zeta: complex,
           or (None if t.graph.is_orthogonal_to(s.graph, cfg) else "graphs are not orthogonal"),
           sum_residual)
     check("adjoint", real, lambda: z_transform(t.adjoint(), zc, cfg).gap(
-        z_transform(t, np.conj(zc), cfg).adjoint()))
+        z_of_t(np.conj(zc)).adjoint()))
     # Closure is the identity map in this representation; re-orthonormalizing
     # the image frame must reproduce the same graph.
     check("closure", real,

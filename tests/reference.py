@@ -28,7 +28,10 @@ graph parts and of ran(T + iI) from the frames that ``dom``, ``ran``,
 ``ker``, ``mul`` and a span build, and ``span_rank`` the rank of a matrix
 from its spanned frame.  ``loop_encode_matrix`` writes a matrix as rows of
 ``[re, im]`` pairs one entry at a time, as the documents were written
-before one numpy call built them.
+before one numpy call built them.  ``graph_sum_padding`` pads a
+contraction by zero outside its domain as the library did before it read
+the padding from the contraction form: it spans dom V, sums the graph with
+(dom V)-perp (+) {0} and solves the n-dimensional sum for its matrix.
 """
 
 import numpy as np
@@ -120,6 +123,15 @@ def defect_kernel_unitary_part(matrix, cfg=DEFAULT_TOL):
         power = matrix @ power
         power_h = matrix.conj().T @ power_h
     raise AssertionError("reference defect-kernel iteration did not stabilize")
+
+
+def graph_sum_padding(relation, cfg=DEFAULT_TOL):
+    n = relation.n
+    pad = Subspace(_kernel(relation.dom(cfg).frame.conj().T, cfg.rank_tol, scale=1.0))
+    zeros = Subspace(np.vstack([pad.frame, np.zeros_like(pad.frame)]))
+    frame = relation.graph.sum(zeros, cfg).frame
+    assert frame.shape == (2 * n, n), "the padded graph is not n-dimensional"
+    return np.linalg.solve(frame[:n].T, frame[n:].T).T
 
 
 def one_step_unitary_hull(matrix, cfg=DEFAULT_TOL):

@@ -20,10 +20,17 @@ from relcalc import (
     wold_decompose,
     z_transform,
 )
+from relcalc.decompose import _padded_matrix
+from relcalc.relation import _contraction_form
 
 import gen
 from probes import record_chain_rounds
-from reference import defect_kernel_unitary_part, one_step_unitary_hull, row_space_image_chain
+from reference import (
+    defect_kernel_unitary_part,
+    graph_sum_padding,
+    one_step_unitary_hull,
+    row_space_image_chain,
+)
 
 
 # -- maximalization -----------------------------------------------------
@@ -56,15 +63,19 @@ def test_maximalize_rejects_noncontraction():
         maximalize_contraction(Relation.from_operator(2.0 * np.eye(2)))
 
 
-def test_full_domain_with_multivalued_part_is_not_an_operator():
+def test_full_domain_with_multivalued_part_is_not_an_operator(rng):
     # Under psd_tol = 1 the whole of C^1 (+) C^1 passes as a contraction and
     # an isometry of full domain; its multivalued part still stops the
-    # engines at the matrix.
-    everything = Relation(Subspace.full(2))
-    loose = ToleranceConfig(psd_tol=1.0)
-    for engine in (unitary_part_subspace, wold_decompose):
-        with pytest.raises(ValueError, match="not an everywhere-defined operator"):
-            engine(everything, loose)
+    # engines at the matrix.  So does a rotated multivalued line, whose least
+    # form eigenvalue reads -1 only to rounding.
+    q = gen.random_unitary(rng, 4)
+    line = Relation.from_pairs([(q[:, k], 0.5 * q[:, k]) for k in range(3)]
+                               + [(np.zeros(4), q[:, 3])])
+    for relation, loose in ((Relation(Subspace.full(2)), ToleranceConfig(psd_tol=1.0)),
+                            (line, ToleranceConfig(psd_tol=1.5))):
+        for engine in (unitary_part_subspace, wold_decompose, maximalize_contraction):
+            with pytest.raises(ValueError, match="not an everywhere-defined operator"):
+                engine(relation, loose)
 
 
 def test_maximalized_graph_dimension(rng):
@@ -98,8 +109,40 @@ def test_unitary_part_conjugated_blocks(rng):
 
 
 def _hull_and_reference(v):
-    reference = defect_kernel_unitary_part(operator_matrix(maximalize_contraction(v)))
+    reference = defect_kernel_unitary_part(graph_sum_padding(v))
     return unitary_part_subspace(v), reference
+
+
+def _padding_families(rng):
+    """Contractions of every kind the engines pad: full and partial domain,
+    isometries, transforms of dissipative relations and the compressed
+    shift that symmetric_wold_decompose certifies."""
+    for _ in range(6):
+        for n in range(1, 9):
+            yield gen.random_contraction_relation(rng, n)
+            yield gen.random_isometry_relation(rng, n)
+            yield gen.block_contraction(rng, int(rng.integers(0, n + 1)), n)[0]
+            yield z_transform(gen.random_dissipative(rng, n), 1j)
+            yield gen.random_contraction_relation(rng, n).restrict_domain(
+                gen.random_subspace(rng, n))
+    for n in (16, 32):
+        split = symmetric_wold_decompose(
+            build_multivalued_extension(WindowConfig(n=n)), require_maximal=False)
+        yield z_transform(compress(split.part_k, split.k), 1j)
+
+
+def test_padded_matrix_matches_graph_sum_padding(rng):
+    partial = 0
+    for v in _padding_families(rng):
+        matrix = _padded_matrix(v, _contraction_form(v)[0], DEFAULT_TOL)
+        assert np.linalg.norm(matrix - graph_sum_padding(v), 2) <= 1e-13
+        partial += v.graph.dim < v.n
+        if v.graph.dim == v.n:
+            assert maximalize_contraction(v) is v
+        else:
+            padded = maximalize_contraction(v)
+            assert padded.graph.dim == v.n and padded.graph.contains(v.graph)
+    assert partial > 50
 
 
 def test_unitary_part_hull_matches_defect_kernel_reference(rng):
@@ -419,6 +462,33 @@ def test_dissipative_random_inputs(rng):
 def test_dissipative_rejects_nondissipative():
     with pytest.raises(ValueError, match="not dissipative"):
         dissipative_decompose(Relation.from_operator(np.array([[-1j]])))
+
+
+# Multiples of psd_tol for the dissipation -s of the planted eigenvalue
+# -s i; the edge is at 0.5, where the form reads -2s.
+EDGE_MULTIPLES = [0.3, 0.4, 0.45, 0.49, 0.51, 0.55, 0.7, 0.9, 1.0, 1.2, 1.5]
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_dissipative_agrees_with_transform_contraction_at_psd_edge(rng, rotated):
+    # The contraction form of Z_i(T) is T's dissipation form, so under one
+    # psd_tol T is dissipative exactly when Z_i(T) is a contraction, and
+    # symmetric exactly when it is an isometry.
+    for multiple in EDGE_MULTIPLES + [0.5]:
+        q = gen.random_unitary(rng, 2) if rotated else np.eye(2)
+        s = multiple * DEFAULT_TOL.psd_tol
+        t = Relation.from_operator(q @ np.diag([1.0, -s * 1j]) @ q.conj().T)
+        rep, rep_z = classify(t), classify(z_transform(t, 1j))
+        if multiple != 0.5:  # at the edge itself rounding decides
+            assert rep.is_dissipative == rep_z.is_contraction == (multiple < 0.5)
+            assert rep.is_symmetric == rep_z.is_isometry == (multiple < 0.5)
+        try:
+            result = dissipative_decompose(t)
+        except ValueError as exc:
+            assert str(exc) == "relation is not dissipative"
+            assert not rep.is_dissipative
+        else:
+            assert rep.is_dissipative and result.passed
 
 
 # -- symmetric splitting ---------------------------------------------------

@@ -11,13 +11,14 @@ from relcalc import (
     build_elementary_symmetric,
     classify,
     compress,
+    dissipative_decompose,
     maximalize_contraction,
     operator_matrix,
     unitary_part_subspace,
     wold_decompose,
     z_transform,
 )
-from relcalc import shiftmodel
+from relcalc import decompose, shiftmodel
 from relcalc.io import _part_summary
 from relcalc.relation import (
     _deficiency_dim,
@@ -224,17 +225,34 @@ def test_dimension_sites_factor_no_vectors(monkeypatch, rng):
     assert len(calls) == 10 and vector_svds() == [] and all(c[0] == "svd" for c in calls)
 
 
-def test_unitary_part_hull_reads_the_rank_of_f_once(monkeypatch, rng):
-    v = Relation.from_operator(gen.random_contraction_matrix(rng, 6))
+def test_unitary_part_hull_reads_no_rank_of_f(monkeypatch, rng):
+    full = Relation.from_operator(gen.random_contraction_matrix(rng, 6))
+    partial = full.restrict_domain(gen.random_subspace(rng, 6, 4))
+    dissipative = gen.random_dissipative(rng, 6, multivalued=False)
     u = Relation.from_operator(gen.random_unitary(rng, 5))
     calls = record_linalg_calls(monkeypatch)
+    seeded = []
+    hull = decompose._invariant_hull
 
-    # maximalize_contraction's guard reads it; the matrix is solved for
-    # without a second read.
-    unitary_part_subspace(v)
-    assert [c for c in calls if not c[2]] == [("svd", (6, 6), False)]
+    def recorded_hull(*args):
+        seeded.append(list(calls))
+        return hull(*args)
 
-    # Wold's guard reads it; the next factorization spans ran V.
+    monkeypatch.setattr(decompose, "_invariant_hull", recorded_hull)
+
+    # The guard's form eigenvalues give F's singular values, so on full and
+    # partial domain the only factorization before the rounds is the seed
+    # SVD of [D, D*].
+    assert partial.graph.dim == 4
+    for engine, relation in ((unitary_part_subspace, full), (unitary_part_subspace, partial),
+                             (dissipative_decompose, dissipative)):
+        calls.clear()
+        seeded.clear()
+        engine(relation)
+        assert seeded[0] == [("svd", (6, 12), True)]
+        assert [c for c in calls if not c[2]] == []
+
+    # Wold's guard reads no rank either: its first factorization spans ran V.
     calls.clear()
     wold_decompose(u)
-    assert calls[0] == ("svd", (5, 5), False) and calls[1][2]
+    assert calls[0] == ("svd", (5, 5), True)

@@ -174,3 +174,14 @@ def test_certificate_is_one_record():
 
     assert relcalc.Certificate is invariance.Certificate is subspace.Certificate
     assert decompose.Certificate is ztransform.Certificate is subspace.Certificate
+
+
+@pytest.mark.parametrize("check, message", [
+    (is_invariant, "subspace ambient dimension must equal the space dimension"),
+    (is_reducing, "subspace ambient dimension must equal the space dimension"),
+    (reduction_certificates, "subspace ambient dimension must equal the space dimension"),
+    (embed, "relation space dimension must equal dim K"),
+])
+def test_invariance_rejects_mismatched_subspace(check, message):
+    with pytest.raises(ValueError, match=message):
+        check(Relation.identity(2), Subspace.full(3))

@@ -107,6 +107,28 @@ def test_parse_errors(payload, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("parse, payload, message", [
+    (load_relation_document, '{"dim": 1, "F": 3, "G": [[[1, 0]]]}', "F: expected a list of rows"),
+    (load_relation_document, '{"dim": 1, "F": [5], "G": [[[1, 0]]]}', "F[0]: expected a list"),
+    (load_relation_document, '{"dim": 1, "F": [[[1, 0]]], "G": [[[1, 0]]], "tolerances": []}',
+     "tolerances: expected an object"),
+    (load_relation_document, '{"dim": 1, "F": [[[1, 0]]], "G": [[[1, 0]]], "name": 3}',
+     "name: expected a string"),
+    (parse_subspace, '{"dim": 2, "vectors": 3}', "vectors: expected a list of vectors"),
+    (parse_subspace, '{"dim": 2, "vectors": [[[1, 0]]]}',
+     "vectors[0]: expected a vector of length 2"),
+])
+def test_documents_reject_malformed_fields(parse, payload, message):
+    with pytest.raises(DocumentError) as err:
+        parse(payload)
+    assert str(err.value) == message
+
+
+def test_subspace_document_without_vectors_is_the_zero_subspace():
+    space = parse_subspace('{"dim": 2, "vectors": []}')
+    assert (space.dim, space.ambient_dim) == (0, 2)
+
+
 @pytest.mark.parametrize("entry", ["[true, 0]", "[0, false]"])
 def test_bool_entries_rejected(entry):
     text = '{"dim": 1, "F": [[[1, 0]]], "G": [[%s]]}' % entry
@@ -391,6 +413,13 @@ def test_cli_non_finite_zeta_exits_two(tmp_path, capsys, zeta):
     path = _relation_file(tmp_path, Relation.identity(2))
     assert main(["ztransform", "--zeta", zeta, path]) == 2
     assert f"--zeta: must be finite, got {zeta!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("zeta", ["1", "1,2,3", "i,0"])
+def test_cli_zeta_not_a_pair_exits_two(tmp_path, capsys, zeta):
+    path = _relation_file(tmp_path, Relation.identity(2))
+    assert main(["ztransform", "--zeta", zeta, path]) == 2
+    assert f"--zeta: expected RE,IM, got {zeta!r}" in capsys.readouterr().err
 
 
 # json.dumps writes, and json.loads reads, the NaN and Infinity literals; a

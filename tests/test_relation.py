@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -520,3 +522,15 @@ def test_space_dim_mismatch_raises(rng):
         t.compose(s)
     with pytest.raises(ValueError):
         t.restrict(Subspace.full(3))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Relation(Subspace.zero(3)), "doubled (even-dimensional)"),
+    (lambda: Relation.from_operator(np.zeros((2, 3))), "must be square"),
+    (lambda: Relation.from_pairs([(np.zeros(2), np.zeros(3))]), "must all have length n"),
+    (lambda: Relation.from_graph_matrix(np.zeros((2, 1)), np.zeros((2, 2))), "same shape"),
+    (lambda: Relation.identity(2).restrict_domain(Subspace.full(3)), "ambient dimension"),
+])
+def test_relation_rejects_malformed_input(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -216,9 +216,12 @@ def test_dissipative_split_conjugation_covariance():
 
 def test_spectral_probe():
     probe = spectral_window_probe(WindowConfig(n=64, margin=4))
-    assert probe.ok
+    assert probe.passed
+    assert [(c.name, c.tolerance) for c in probe.certificates] == [
+        ("probe_no_eigenvalues", 0.0), ("probe_deficiency_direction", 1e-12)]
     assert all(dim == 0 for dim in probe.eigenvalue_free.values())
-    assert probe.deficiency_residual < 1e-12
+    assert probe.certificate("probe_no_eigenvalues").residual == 0
+    assert probe.certificate("probe_deficiency_direction").residual < 1e-12
     assert set(probe.adjoint_kernel_dims) == {"(-0-1j)", "(-0-2j)", "(1-1j)", "(-0.5-0.5j)"}
 
 
@@ -280,7 +283,9 @@ def test_shift_example_work(monkeypatch):
     assert (counts["adjoint"], counts["deficiency"]) == (0, 0)
     assert probes == [expected, expected]
     residuals = {c.name: c.residual for c in report.certificates}
-    assert residuals["probe_deficiency_direction"] == expected.deficiency_residual
+    assert residuals["probe_deficiency_direction"] == (
+        expected.certificate("probe_deficiency_direction").residual)
+    assert report.certificates[-3:-1] == expected.certificates
     assert report.info["adjoint_kernel_dims"] == expected.adjoint_kernel_dims
 
     # The splitting's one adjoint is that of its selfadjoint part on K-perp.
@@ -421,3 +426,12 @@ def test_window_compress_small_dropped_rows(rng, dropped):
     for mixed in (False, True, True, True):
         frame = _planted_window_frame(rng, np.sqrt(1 - dropped**2), dropped, mixed)
         assert _assert_window_compress_matches_svd(frame, w).dim == 5
+
+
+@pytest.mark.parametrize("outside, message", [
+    (Relation.identity(15), "relation does not live in the model space"),
+    (Subspace.full(17), "subspace does not live in the model space"),
+])
+def test_window_compress_rejects_objects_outside_the_model_space(outside, message):
+    with pytest.raises(ValueError, match=message):
+        window_compress(outside, W16)

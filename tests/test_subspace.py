@@ -446,3 +446,17 @@ def test_span_frame_agrees_across_blas_thread_counts(tmp_path):
     one, two = spans
     assert one.dim == two.dim == 150
     assert one.gap(two) < 1e-12
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Subspace.span(np.zeros((3, 1)), ambient_dim=2), ValueError,
+     "expected ambient dimension 2, got 3"),
+    (lambda: Subspace.span([np.array([np.nan, 0.0])]), ValueError, "non-finite entries"),
+    (lambda: Subspace(np.zeros(3)), ValueError, "frame must be a 2-d array"),
+    (lambda: Subspace.from_basis_indices(3, [3]), ValueError, "basis index out of range"),
+    (lambda: Subspace.from_basis_indices(3, [-1]), ValueError, "basis index out of range"),
+    (lambda: relcalc.ReductionReport(()).certificate("reducing"), KeyError, "reducing"),
+])
+def test_subspace_rejects_malformed_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -11,6 +11,8 @@ from relcalc import (
     z_transform,
 )
 
+from relcalc import ztransform
+
 import gen
 
 
@@ -163,6 +165,34 @@ def test_orthogonal_sum_property(rng):
     for zeta in (1j, -1j):
         report = z_properties_check(t, s, zeta)
         assert report.results["orthogonal_sum"] is True
+
+
+@pytest.mark.parametrize("zeta, transforms, sums", [
+    (1j, 8, 2), (-1j, 8, 2), (np.exp(1j * np.pi / 4), 9, 2), (2j, 7, 2), (0.5, 5, 0)])
+def test_properties_check_computes_each_transform_once(monkeypatch, zeta, transforms, sums):
+    # Independent orthogonal graphs, so every identity that zeta allows is
+    # evaluated.  Z_{-zeta}(T) = Z_{conj zeta}(T) at imaginary zeta, and
+    # Z_{conj zeta}(T) serves negation, inverse and adjoint once; direct_sum and
+    # orthogonal_sum share one residual.
+    t = Relation.from_pairs([(np.array([1.0, 0]), np.array([1j, 0]))])
+    s = Relation.from_pairs([(np.array([0, 1.0]), np.array([0, -2.0]))])
+    counts = {"z_transform": 0, "sum": 0}
+    transform, graph_sum = ztransform.z_transform, Subspace.sum
+
+    def counted_transform(*args, **kwargs):
+        counts["z_transform"] += 1
+        return transform(*args, **kwargs)
+
+    def counted_sum(*args, **kwargs):
+        counts["sum"] += 1
+        return graph_sum(*args, **kwargs)
+
+    monkeypatch.setattr(ztransform, "z_transform", counted_transform)
+    monkeypatch.setattr(Subspace, "sum", counted_sum)
+    report = z_properties_check(t, s, zeta)
+    assert counts == {"z_transform": transforms, "sum": sums}
+    assert len(report.certificates) + len(report.notes) == 8
+    assert report.passed == bool(complex(zeta).imag)  # a real zeta collapses the graph
 
 
 def test_subspace_fixed_point():
