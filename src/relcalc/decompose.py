@@ -18,8 +18,9 @@ with machine-checkable certificates:
   orientation: here K carries the shift-like part, whereas the first two
   engines put the unitary part on K.
 
-Complete nonunitarity / nonselfadjointness is certified operationally:
-re-decomposing the complement part must yield the zero subspace.
+The first and third engines read K from the eigenvectors of the padded
+contraction whose eigenvalues lie on the unit circle.  The part on K-perp
+is certified on its own padded matrix, which must have no such eigenvalue.
 """
 
 from __future__ import annotations
@@ -72,9 +73,10 @@ class DecompositionResult(Certified):
     """A reducing subspace, both restricted parts and their certificates.
 
     ``wandering`` carries the wandering space for the isometry/symmetric
-    engines.  ``iterations`` counts the rounds of the invariant hull that
-    defines K (see ``_invariant_hull``) for the contraction, dissipative and
-    symmetric engines, and the range-chain steps, stalled step included,
+    engines.  ``iterations`` is 1 for the contraction and dissipative
+    engines, which read K from one eigendecomposition; it counts the rounds
+    of the image chain that defines K (see ``_invariant_hull``) for the
+    symmetric engine, and the range-chain steps, stalled step included,
     for the isometry.
     """
 
@@ -118,7 +120,8 @@ def maximalize_contraction(relation: Relation,
 
 def _invariant_hull(frame: np.ndarray, images_of, cfg: ToleranceConfig):
     """Frame of the smallest subspace that contains ``frame`` and the images
-    ``images_of(frame, added)`` of each round's new columns, and the rounds.
+    ``images_of(frame, added)`` of each round's new columns, and the rounds
+    (the wandering sum and the image chain of the two Wold engines).
 
     Images are orthogonalized twice against the frame and cut at ``rank_tol``
     on an absolute scale (frames and their images are O(1)).  The seed is
@@ -141,38 +144,34 @@ def _invariant_hull(frame: np.ndarray, images_of, cfg: ToleranceConfig):
         frame = np.hstack([frame, added])
 
 
-def _nonunitary_hull(matrix: np.ndarray, cfg: ToleranceConfig):
-    """Frame of the complement of the unitary part of a closed contraction,
-    padded by zero outside its domain to the matrix V, and the number of
-    hull rounds that found it.
-
-    K-perp is the smallest subspace invariant under V and V^H that contains
-    ran D + ran D*, with D = I - V^H V and D* = I - V V^H (Van Dooren 1981,
-    Paige 1981): the invariant hull of one SVD of [D, D*] under both maps.
-    """
-    matrix_h = matrix.conj().T
-    eye = np.eye(matrix.shape[0])
-    defects = np.hstack([eye - matrix_h @ matrix, eye - matrix @ matrix_h])
-    return _invariant_hull(
-        _orthonormal_columns(defects, cfg.rank_tol, scale=1.0),
-        lambda frame, added: np.hstack([matrix @ added, matrix_h @ added]),
-        cfg,
-    )
+def _on_circle(values: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """Eigenvalues on the unit circle: 1 - |lambda|^2 at most psd_tol."""
+    return 1 - np.abs(values) ** 2 <= cfg.psd_tol
 
 
-def _unitary_dim(relation: Relation, cfg: ToleranceConfig) -> int:
-    """Dimension of the unitary part of a decomposition's part, read from
-    its complement's frame; the part is judged by certificates, not here."""
-    frame = _nonunitary_hull(_padded_matrix(relation, _contraction_form(relation)[0], cfg), cfg)[0]
-    return frame.shape[0] - frame.shape[1]
+def _unitary_part(matrix: np.ndarray, cfg: ToleranceConfig) -> Subspace:
+    """Unitary part of a matrix contraction V: the span of its eigenvectors
+    with eigenvalues on the circle.  Vx = lambda x with |lambda| = 1 forces
+    V*x = conj(lambda) x, so each reduces V, and in finite dimension they
+    span the unitary part (Sz.-Nagy & Foias)."""
+    values, vectors = np.linalg.eig(matrix)
+    return Subspace.span(vectors[:, _on_circle(values, cfg)], cfg,
+                         ambient_dim=matrix.shape[0], scale=1.0)
+
+
+def _unimodular_count(relation: Relation, w: np.ndarray, cfg: ToleranceConfig) -> int:
+    """Eigenvalues on the circle of a part's padded matrix, from its form
+    eigenvalues ``w``: 0 exactly when the part is completely nonunitary."""
+    values = np.linalg.eigvals(_padded_matrix(relation, w, cfg))
+    return int(np.count_nonzero(_on_circle(values, cfg)))
 
 
 def unitary_part_subspace(relation: Relation,
                           cfg: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Unitary-part subspace of a closed contraction (padded by zero
-    outside its domain, as in ``nfl_decompose``): the complement of the
-    hull frame."""
-    return Subspace(_nonunitary_hull(_contraction_matrix(relation, cfg), cfg)[0]).complement()
+    outside its domain, as in ``nfl_decompose``): the span of the
+    eigenvectors of its eigenvalues on the circle."""
+    return _unitary_part(_contraction_matrix(relation, cfg), cfg)
 
 
 def _unitary_within(relation: Relation, space: Subspace, cfg: ToleranceConfig):
@@ -194,15 +193,16 @@ def _selfadjoint_within_gap(relation: Relation, space: Subspace,
 def nfl_decompose(relation: Relation,
                   cfg: ToleranceConfig = DEFAULT_TOL) -> DecompositionResult:
     """Split a closed contraction into unitary and completely nonunitary
-    parts.  K-perp is the hull frame as it is, and K its complement."""
-    frame, iterations = _nonunitary_hull(_contraction_matrix(relation, cfg), cfg)
-    k_perp = Subspace(frame)
-    k = k_perp.complement()
+    parts.  K is ``unitary_part_subspace`` and K-perp its complement."""
+    k = unitary_part_subspace(relation, cfg)
+    k_perp = k.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     iso_dev, codim = _unitary_within(part_k, k, cfg)
-    cnu_dim = _unitary_dim(compress(part_p, k_perp, cfg), cfg)
-    # The padding never meets K, so the unitary part sits inside dom V.
-    r_dom = _norm2(_residual(relation.dom(cfg).frame, k.frame))
+    within = compress(part_p, k_perp, cfg)
+    cnu_dim = _unimodular_count(within, _contraction_form(within)[0], cfg)
+    # The padding never meets K, so K sits inside dom V, the span of the
+    # thin QR of F: the guard gave F full column rank.
+    r_dom = _norm2(_residual(np.linalg.qr(relation.F)[0], k.frame))
 
     certificates = (
         Certificate("reducing", r_red, cfg.gap_tol),
@@ -211,7 +211,7 @@ def nfl_decompose(relation: Relation,
         Certificate("part_k_perp_completely_nonunitary", cnu_dim, 0),
         Certificate("k_inside_domain", r_dom, cfg.gap_tol),
     )
-    return DecompositionResult(k, part_k, part_p, certificates, iterations)
+    return DecompositionResult(k, part_k, part_p, certificates, 1)
 
 
 def wold_decompose(relation: Relation,
@@ -284,12 +284,11 @@ def dissipative_decompose(relation: Relation,
     if _min_eig(w) < -cfg.psd_tol:
         raise ValueError("relation is not dissipative")
     # T's dissipation form is the contraction form of Z_i(T).
-    transform = z_transform(relation, 1j, cfg)
-    frame, iterations = _nonunitary_hull(_padded_matrix(transform, w, cfg), cfg)
-    k_perp = Subspace(frame)
-    k = k_perp.complement()
+    k = _unitary_part(_padded_matrix(z_transform(relation, 1j, cfg), w, cfg), cfg)
+    k_perp = k.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
-    cns_dim = _unitary_dim(z_transform(compress(part_p, k_perp, cfg), 1j, cfg), cfg)
+    within = z_transform(compress(part_p, k_perp, cfg), 1j, cfg)
+    cns_dim = _unimodular_count(within, _contraction_form(within)[0], cfg)
 
     certificates = (
         Certificate("reducing", r_red, cfg.gap_tol),
@@ -297,7 +296,7 @@ def dissipative_decompose(relation: Relation,
         Certificate("part_k_perp_operator", _mul_dim(part_p, cfg), 0),
         Certificate("part_k_perp_completely_nonselfadjoint", cns_dim, 0),
     )
-    return DecompositionResult(k, part_k, part_p, certificates, iterations)
+    return DecompositionResult(k, part_k, part_p, certificates, 1)
 
 
 def _chain_split(f: np.ndarray, frame: np.ndarray, coeffs: np.ndarray,
@@ -389,19 +388,18 @@ def symmetric_wold_decompose(relation: Relation,
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     r_sa = _selfadjoint_within_gap(part_p, k_perp, cfg)
     if k.dim > 0:
-        within = compress(part_k, k, cfg)
-        sym_dev = _max_abs_eig(_dissipation_form(within)[0])
-        shift = z_transform(within, 1j, cfg)
-        iso_dev = _max_abs_eig(_contraction_form(shift)[0])
+        # The shift's contraction form is the part's dissipation form.
+        shift = z_transform(compress(part_k, k, cfg), 1j, cfg)
+        w = _contraction_form(shift)[0]
+        iso_dev = _max_abs_eig(w)
         dom_codim = k.dim - _dom_dim(shift, cfg)
-        unit_dim = _unitary_dim(shift, cfg)
+        unit_dim = _unimodular_count(shift, w, cfg)
     else:
-        iso_dev = dom_codim = unit_dim = sym_dev = 0.0
+        iso_dev = dom_codim = unit_dim = 0.0
 
     certificates = (
         Certificate("reducing", r_red, cfg.gap_tol),
         Certificate("part_k_perp_selfadjoint", r_sa, cfg.gap_tol),
-        Certificate("part_k_symmetric", sym_dev, cfg.psd_tol),
         Certificate("transform_isometry_on_k", iso_dev, cfg.psd_tol),
         Certificate("transform_domain_full", dom_codim, 0),
         Certificate("transform_no_unitary_part", unit_dim, 0),

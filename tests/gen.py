@@ -196,3 +196,13 @@ def oblique_step_symmetric(rng, lengths, sines, unitary_dim):
     for u in q[:, start:].T:
         pairs.append((u, np.exp(2j * np.pi * rng.uniform()) * u))
     return z_transform(Relation.from_pairs(pairs, n=n), 1j), chain_span
+
+
+def absorbing_chain(n, sites, gamma=1.0):
+    """H = -Laplacian + i gamma sum_{j in sites} e_j e_j^T on n sites
+    (1-based): a dissipative matrix whose selfadjoint part is spanned by
+    the Laplacian eigenvectors that vanish on every absorbing site."""
+    h = (2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)).astype(complex)
+    for j in sites:
+        h[j - 1, j - 1] += 1j * gamma
+    return h

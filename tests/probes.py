@@ -1,28 +1,54 @@
 """Recorders for the work-count tests.
 
-``record_linalg_calls`` lists the calls of ``np.linalg.svd`` and
-``np.linalg.qr`` with the shape of the matrix and whether they form
-vectors.
+``record_linalg_calls`` lists the calls of ``np.linalg.svd``,
+``np.linalg.qr``, ``np.linalg.eig`` and ``np.linalg.eigvals`` with the
+shape of the matrix and whether they form vectors.
 ``record_chain_rounds`` records each round of the symmetric-Wold image
 chain after its first (the first has nothing carried yet and factors F
 once): the number of columns the round added, the factorizations it took
 and the shapes it factored, and the (carried, re-read, found) column
 counts of its splits.
+``run_isolated`` runs code in a fresh interpreter, for checks that set
+the BLAS thread count.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import relcalc
 from relcalc import decompose
 
 
+def run_isolated(code, **env):
+    """Run ``code`` in a fresh interpreter with relcalc importable, with
+    ``env`` added to the environment; returns its standard output."""
+    src = str(Path(relcalc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def _wrap_factorizations(monkeypatch, record):
-    """Call ``record(name, shape, vectors)`` on every call of np.linalg.svd
-    or .qr; ``vectors`` is False only for an SVD with ``compute_uv=False``."""
-    for name in ("svd", "qr"):
+    """Call ``record(name, shape, vectors)`` on every call of np.linalg.svd,
+    .qr, .eig or .eigvals; ``vectors`` is False for ``eigvals`` and for an
+    SVD with ``compute_uv=False``."""
+    for name in ("svd", "qr", "eig", "eigvals"):
         original = getattr(np.linalg, name)
 
         def recorded(mat, *args, _name=name, _original=original, **kwargs):
-            record(_name, np.shape(mat), _name == "qr" or kwargs.get("compute_uv", True))
+            vectors = _name != "eigvals" and kwargs.get("compute_uv", True)
+            record(_name, np.shape(mat), vectors)
             return _original(mat, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
@@ -30,7 +56,7 @@ def _wrap_factorizations(monkeypatch, record):
 
 def record_linalg_calls(monkeypatch):
     """List that fills with (name, shape, vectors) for every call of
-    np.linalg.svd or .qr."""
+    np.linalg.svd, .qr, .eig or .eigvals."""
     calls = []
     _wrap_factorizations(monkeypatch, lambda *call: calls.append(call))
     return calls

@@ -5,7 +5,9 @@ projector complements [I - P_A; I - P_B] (a 2d x d SVD), and
 ``defect_kernel_unitary_part`` the unitary part of a matrix contraction as
 the stabilized intersection of the kernels of D V^m and D* (V^H)^m.
 ``one_step_unitary_hull`` grows K-perp as K-perp + V K-perp + V* K-perp
-with ``Subspace.sum``, mapping the whole subspace every step.
+with ``Subspace.sum``, mapping the whole subspace every step, and
+``nonunitary_hull`` grows it as the library did before it read the
+unitary part from the eigenvalues: mapping only each round's new columns.
 ``projector_gap`` is the spectral radius of the d x d projector difference,
 ``stacked_sum`` the leading left singular vectors of [A B],
 ``svd_complement`` the kernel of A^H from a wide SVD, and
@@ -149,6 +151,22 @@ def one_step_unitary_hull(matrix, cfg=DEFAULT_TOL):
             return k_perp, steps
         k_perp = grown
     raise AssertionError("reference hull did not stabilize")
+
+
+def nonunitary_hull(matrix, cfg=DEFAULT_TOL):
+    """Frame of K-perp of a matrix contraction V and the hull rounds: the
+    smallest subspace invariant under V and V* that contains
+    ran D + ran D*, with D = I - V*V and D* = I - VV* (Van Dooren 1981,
+    Paige 1981).  A small Krylov residual does not mean a direction is
+    unreachable, so on some inputs it fills the space too early."""
+    matrix_h = matrix.conj().T
+    eye = np.eye(matrix.shape[0])
+    defects = np.hstack([eye - matrix_h @ matrix, eye - matrix @ matrix_h])
+    return _invariant_hull(
+        _orthonormal_columns(defects, cfg.rank_tol, scale=1.0),
+        lambda frame, added: np.hstack([matrix @ added, matrix_h @ added]),
+        cfg,
+    )
 
 
 def row_space_image_chain(relation, cfg=DEFAULT_TOL):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,14 +22,16 @@ from relcalc import (
     wold_decompose,
     z_transform,
 )
+from relcalc import decompose
 from relcalc.decompose import _padded_matrix
 from relcalc.relation import _contraction_form
 
 import gen
-from probes import record_chain_rounds
+from probes import record_chain_rounds, record_linalg_calls, run_isolated
 from reference import (
     defect_kernel_unitary_part,
     graph_sum_padding,
+    nonunitary_hull,
     one_step_unitary_hull,
     row_space_image_chain,
 )
@@ -164,25 +168,133 @@ def test_unitary_part_hull_matches_defect_kernel_reference(rng):
 
 @pytest.mark.parametrize("delta", [1e-9, 1e-8])
 def test_unitary_part_hull_near_circle_matches_reference(rng, delta):
-    # The true unitary part always holds Q e3.  Both chains cut tighter
-    # than the eps / delta accuracy of the near-unitary direction, which
-    # can drop it (ROADMAP Direction 1); the hull must decide as the old
-    # chain did.
+    # The true unitary part is span{Q e3}: 1 - delta lies off the circle by
+    # 2 delta in 1 - |lambda|^2, far above psd_tol.  A Krylov hull of the
+    # defects cuts the eps / delta accuracy of the near-unitary direction
+    # and can lose Q e3; the eigenvalues keep it.
     for _ in range(10):
         q = gen.random_unitary(rng, 3)
         v = Relation.from_operator(q @ np.diag([1 - delta, 0.5, np.exp(1j)]) @ q.conj().T)
-        k, ref = _hull_and_reference(v)
+        k = unitary_part_subspace(v)
+        assert k.dim == 1
+        assert k.gap(Subspace.span(q[:, 2:], ambient_dim=3)) < 1e-8
+
+
+def _hull_k(matrix, cfg):
+    return Subspace(nonunitary_hull(matrix, cfg)[0]).complement()
+
+
+def test_unitary_part_matches_hull_reference_on_families(rng):
+    # Where the Krylov hull of the defects is right, the eigenvalues agree
+    # with it: the same dimension, and within 1e-12 in the gap.
+    for v in _padding_families(rng):
+        k = unitary_part_subspace(v)
+        ref = _hull_k(_padded_matrix(v, _contraction_form(v)[0], DEFAULT_TOL), DEFAULT_TOL)
         assert k.dim == ref.dim
+        assert k.gap(ref) < 1e-12
 
 
-def _conjugated_blocks(rng, first, second):
-    """Q diag(first, second) Q* for a random unitary Q."""
+def test_certificate_counts_what_the_hull_misses(monkeypatch):
+    # The hull loses all five dark states of the absorbing chain at n = 23
+    # and, at delta = 1e-8, the unitary direction Q e3 beside 1 - delta.
+    # Fed that K, each engine's certificate counts the unimodular
+    # eigenvalues it leaves on K-perp.
+    monkeypatch.setattr(decompose, "_unitary_part", _hull_k)
+    result = dissipative_decompose(Relation.from_operator(gen.absorbing_chain(23, (6,))))
+    assert result.k.dim == 0
+    cert = result.certificate("part_k_perp_completely_nonselfadjoint")
+    assert cert.residual == 5 and not cert.passed
+    rng = np.random.default_rng(0)
+    missed = 0
+    for _ in range(10):
+        q = gen.random_unitary(rng, 3)
+        v = Relation.from_operator(q @ np.diag([1 - 1e-8, 0.5, np.exp(1j)]) @ q.conj().T)
+        result = nfl_decompose(v)
+        if not result.k.contains(Subspace.span(q[:, 2:], ambient_dim=3)):
+            missed += 1
+            assert not result.passed
+    assert missed > 0
+
+
+def _planted(rng, first, second):
+    """Q diag(first, second) Q* for a random unitary Q, and Q's leading
+    columns, as many as ``first`` has."""
     k, n = first.shape[0], first.shape[0] + second.shape[0]
     blk = np.zeros((n, n), dtype=complex)
     blk[:k, :k] = first
     blk[k:, k:] = second
     q = gen.random_unitary(rng, n)
-    return q @ blk @ q.conj().T
+    return q @ blk @ q.conj().T, Subspace(q[:, :k])
+
+
+def _assert_spectral_split(v, expected, tol):
+    result = nfl_decompose(Relation.from_operator(v))
+    assert result.k.dim == expected.dim
+    assert result.k.gap(expected) < tol
+    assert result.passed
+    return result
+
+
+def test_spectral_read_repeated_and_clustered_eigenvalues(rng):
+    # eig returns no orthogonal eigenvectors for a repeated or clustered
+    # eigenvalue, but they still span the unitary block.
+    clusters = 0.7 + 1e-9 * np.arange(4)
+    for unitary in (np.eye(4), np.eye(10), np.diag(np.exp(1j * clusters)),
+                    np.diag(np.exp(1j * np.concatenate([clusters, clusters + 2])))):
+        for _ in range(3):
+            strict = gen.random_contraction_matrix(rng, 5)
+            _assert_spectral_split(*_planted(rng, unitary, strict), 1e-12)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8, 1e-9])
+def test_spectral_read_beside_a_near_unimodular_eigenvalue(rng, delta):
+    # K-perp holds the eigenvalue (1 - delta) e^{0.7i}, beside the unitary
+    # e^{0.7i}, coupled to 0.5 by sqrt(delta) so that its eigenvectors are
+    # not orthogonal.  Any K within eps / delta of the planted one reduces
+    # V to rounding, so K is read to that accuracy, and its dimension
+    # exactly.
+    lam = np.exp(0.7j)
+    strict = np.array([[(1 - delta) * lam, 0.3 * np.sqrt(delta)], [0.0, 0.5]])
+    for _ in range(5):
+        _assert_spectral_split(*_planted(rng, np.array([[lam]]), strict),
+                               max(1e-12, 100 * np.finfo(float).eps / delta))
+
+
+@pytest.mark.parametrize("m", [16, 64, 256])
+def test_spectral_read_beside_a_nilpotent_jordan_block(rng, m):
+    # Rounding scatters the eigenvalues of a nilpotent block of size m to
+    # radius about eps^(1/m), 0.87 at m = 256, far inside the circle.
+    _assert_spectral_split(*_planted(rng, gen.random_unitary(rng, 3), np.eye(m, k=-1)), 1e-12)
+
+
+_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from relcalc import Relation, dissipative_decompose, nfl_decompose
+sys.path.insert(0, {tests!r})
+import gen
+rng = np.random.default_rng(11)
+v = gen.block_contraction(rng, 20, 140)[0]
+h = gen.absorbing_chain(95, (24,))
+np.savez({path!r}, nfl=nfl_decompose(v).k.frame,
+         chain=dissipative_decompose(Relation.from_operator(h)).k.frame)
+"""
+
+
+def test_spectral_read_agrees_across_blas_thread_counts(tmp_path):
+    # geev's blocked reductions round differently on one and two threads:
+    # K must keep its dimension and agree within 1e-12 in the gap.
+    frames = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"k{threads}.npz"
+        run_isolated(_THREADS_SCRIPT.format(tests=str(Path(__file__).parent), path=str(path)),
+                     OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        frames.append(np.load(path))
+    one, two = frames
+    for name, dim in (("nfl", 20), ("chain", 23)):
+        a, b = Subspace(one[name]), Subspace(two[name])
+        assert a.dim == b.dim == dim
+        assert a.gap(b) < 1e-12
 
 
 def _hull_cases(rng, kind):
@@ -195,15 +307,15 @@ def _hull_cases(rng, kind):
         k, m = {"unitary": (k + m, 0), "filling": (0, k + m), "mixed": (k, m)}[kind]
         dissipation = 1j * np.diag(np.arange(m) == m - 1)
         yield (
-            _conjugated_blocks(rng, gen.random_unitary(rng, k), np.eye(m, k=-1)),
-            _conjugated_blocks(rng, gen.hermitian(rng, k), gen.hermitian(rng, m) + dissipation),
+            _planted(rng, gen.random_unitary(rng, k), np.eye(m, k=-1))[0],
+            _planted(rng, gen.hermitian(rng, k), gen.hermitian(rng, m) + dissipation)[0],
         )
 
 
 @pytest.mark.parametrize("kind", ["unitary", "filling", "mixed"])
 def test_hull_iterations_match_one_step_reference(rng, kind):
-    # iterations: the seed span[D, D*] is not counted, every mapping round
-    # is, and so is the round that adds nothing or finds the space full
+    # The engines read K from one eigendecomposition, so iterations is 1;
+    # K-perp is the hull that grows span[D, D*] one full step at a time.
     for contraction, dissipative in _hull_cases(rng, kind):
         v = Relation.from_operator(contraction)
         a = Relation.from_operator(dissipative)
@@ -212,7 +324,7 @@ def test_hull_iterations_match_one_step_reference(rng, kind):
             n = result.k.ambient_dim
             matrix = operator_matrix(maximalize_contraction(transform))
             k_perp, steps = one_step_unitary_hull(matrix)
-            assert result.iterations == steps
+            assert result.iterations == 1
             assert result.k.complement().gap(k_perp) < 1e-8
             assert result.passed
             if kind == "unitary":
@@ -224,11 +336,16 @@ def test_hull_iterations_match_one_step_reference(rng, kind):
 
 
 def test_nfl_hull_without_rank_cut_returns(rng):
-    # With rank_tol = 0 every rounding residue is a new direction; the hull
-    # still ends, at the frame that fills the space.
-    v, _ = gen.block_contraction(rng, 3, 3)
+    # K is read from the eigenvalues, so rank_tol = 0 still finds the three
+    # unitary directions.  It keeps only exact zeros as shared directions,
+    # so the restrictions to K come out empty and "reducing" fails: a right
+    # K with a failed certificate, never a wrong K that passes.
+    v, expected = gen.block_contraction(rng, 3, 3)
     result = nfl_decompose(v, ToleranceConfig(rank_tol=0.0))
-    assert result.k.ambient_dim == 6
+    assert result.k.dim == 3
+    assert result.k.gap(expected) < 1e-12
+    assert not result.certificate("reducing").passed
+    assert result.certificate("part_k_perp_completely_nonunitary").passed
 
 
 # -- contraction splitting ----------------------------------------------
@@ -313,23 +430,32 @@ def test_nfl_unitary_conjugation_covariance(rng):
 
 
 def test_engines_take_k_perp_from_the_hull(rng, monkeypatch):
-    # The hull frame is K-perp as it is; K is its one complement.  Neither
-    # engine builds K-perp again as the complement of K.
+    # K is read from one eigendecomposition of the padded matrix and K-perp
+    # is its one complement.  The certificate on K-perp is one eigenvalue
+    # count of the compressed part's own padded matrix, and no hull runs.
     v, _ = gen.block_contraction(rng, 2, 3)
-    l = gen.random_dissipative(rng, 5, maximal=True)
-    calls = []
+    l = z_transform(gen.block_contraction(rng, 2, 3)[0], 1j)
+    complements = []
     complement = Subspace.complement
 
     def counted(space):
-        calls.append(space.dim)
+        complements.append(space.dim)
         return complement(space)
 
+    def no_hull(*args):
+        raise AssertionError("the unitary part is read without a hull")
+
     monkeypatch.setattr(Subspace, "complement", counted)
+    monkeypatch.setattr(decompose, "_invariant_hull", no_hull)
+    calls = record_linalg_calls(monkeypatch)
     for engine, relation in ((nfl_decompose, v), (dissipative_decompose, l)):
+        complements.clear()
         calls.clear()
         result = engine(relation)
-        assert result.passed
-        assert calls == [result.k.ambient_dim - result.k.dim]
+        assert result.passed and result.k.dim == 2
+        assert complements == [2]
+        assert [c for c in calls if c[0].startswith("eig")] == [
+            ("eig", (5, 5), True), ("eigvals", (3, 3), False)]
 
 
 def test_nfl_rejects_noncontraction():

@@ -7,6 +7,7 @@ import pytest
 from relcalc import (
     DEFAULT_TOL,
     Relation,
+    Subspace,
     WindowConfig,
     build_elementary_symmetric,
     classify,
@@ -226,33 +227,36 @@ def test_dimension_sites_factor_no_vectors(monkeypatch, rng):
 
 
 def test_unitary_part_hull_reads_no_rank_of_f(monkeypatch, rng):
-    full = Relation.from_operator(gen.random_contraction_matrix(rng, 6))
-    partial = full.restrict_domain(gen.random_subspace(rng, 6, 4))
-    dissipative = gen.random_dissipative(rng, 6, multivalued=False)
+    v, unitary = gen.block_contraction(rng, 2, 4)
+    dom = Subspace.span(np.hstack([unitary.frame, unitary.complement().frame[:, :2]]),
+                        ambient_dim=6)
+    partial = v.restrict_domain(dom)
+    dissipative = z_transform(v, 1j)
     u = Relation.from_operator(gen.random_unitary(rng, 5))
     calls = record_linalg_calls(monkeypatch)
-    seeded = []
-    hull = decompose._invariant_hull
 
-    def recorded_hull(*args):
-        seeded.append(list(calls))
-        return hull(*args)
-
-    monkeypatch.setattr(decompose, "_invariant_hull", recorded_hull)
-
-    # The guard's form eigenvalues give F's singular values, so on full and
-    # partial domain the only factorization before the rounds is the seed
-    # SVD of [D, D*].
-    assert partial.graph.dim == 4
-    for engine, relation in ((unitary_part_subspace, full), (unitary_part_subspace, partial),
-                             (dissipative_decompose, dissipative)):
-        calls.clear()
-        seeded.clear()
-        engine(relation)
-        assert seeded[0] == [("svd", (6, 12), True)]
-        assert [c for c in calls if not c[2]] == []
-
-    # Wold's guard reads no rank either: its first factorization spans ran V.
-    calls.clear()
+    # Wold's guard reads no rank of F: its first factorization spans ran V.
     wold_decompose(u)
     assert calls[0] == ("svd", (5, 5), True)
+
+    def no_hull(*args):
+        raise AssertionError("the unitary part is read without a hull")
+
+    monkeypatch.setattr(decompose, "_invariant_hull", no_hull)
+
+    # The guard's form eigenvalues give F's singular values, so on full and
+    # partial domain K is read from one eigendecomposition of the padded
+    # matrix and one SVD that spans the kept eigenvectors, and nothing else.
+    assert partial.graph.dim == 4
+    read = [("eig", (6, 6), True), ("svd", (6, 2), True)]
+    for relation in (v, partial):
+        calls.clear()
+        unitary_part_subspace(relation)
+        assert calls == read
+    # The dissipative engine reads K first, and certifies the part on K-perp
+    # with one eigenvalue count of its own 4 x 4 padded matrix.
+    calls.clear()
+    result = dissipative_decompose(dissipative)
+    assert result.k.dim == 2 and result.passed
+    assert calls[:2] == read
+    assert [c for c in calls if c[0].startswith("eig")] == [read[0], ("eigvals", (4, 4), False)]

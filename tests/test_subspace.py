@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +8,7 @@ from relcalc import Subspace, ToleranceConfig
 from relcalc.subspace import _move_to_front, _orthonormal_columns
 
 import gen
+from probes import run_isolated
 from reference import projector_gap, stacked_intersect, stacked_sum, svd_complement
 
 CFG = ToleranceConfig()
@@ -403,23 +399,8 @@ def test_lattice_properties_hypothesis(seed, dim):
     assert a.sum(a.complement()).gap(Subspace.full(dim)) < 1e-10
 
 
-def _run_isolated(code, **env):
-    """Run ``code`` in a fresh interpreter with relcalc importable."""
-    src = str(Path(relcalc.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path, **env},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout
-
-
 def test_import_leaves_scipy_unloaded():
-    out = _run_isolated("import sys, relcalc; print('scipy' in sys.modules)")
+    out = run_isolated("import sys, relcalc; print('scipy' in sys.modules)")
     assert out.strip() == "False"
 
 
@@ -440,8 +421,8 @@ def test_span_frame_agrees_across_blas_thread_counts(tmp_path):
     spans = []
     for threads in ("1", "2"):
         path = tmp_path / f"frame{threads}.npy"
-        _run_isolated(_FRAME_SCRIPT.format(path=str(path)),
-                      OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        run_isolated(_FRAME_SCRIPT.format(path=str(path)),
+                     OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         spans.append(Subspace(np.load(path)))
     one, two = spans
     assert one.dim == two.dim == 150
