@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import sys
 from pathlib import Path
 
@@ -75,6 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(run=_cmd_example)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  Building the tree costs far more than a
+    parse, and parsing leaves the parser as it was, so every in-process
+    ``main`` call shares it."""
+    return build_parser()
 
 
 def _read_text(path: str) -> str:
@@ -180,8 +189,7 @@ def _cmd_example(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except ValueError as exc:  # DocumentError included

@@ -101,7 +101,7 @@ def _padded_matrix(relation: Relation, w: np.ndarray, cfg: ToleranceConfig) -> n
 
 def _contraction_matrix(relation: Relation, cfg: ToleranceConfig) -> np.ndarray:
     """``_padded_matrix`` of a contraction; raises for any other relation."""
-    w = _contraction_form(relation)[0]
+    w = _contraction_form(relation)
     if _min_eig(w) < -cfg.psd_tol:
         raise ValueError("relation is not a contraction")
     return _padded_matrix(relation, w, cfg)
@@ -129,11 +129,17 @@ def _invariant_hull(frame: np.ndarray, images_of, cfg: ToleranceConfig):
     growth, because it adds nothing or because the frame fills the space
     (closed under every map, so that round is counted without being computed).
     """
+    n, dim = frame.shape
+    # The hull never exceeds the space: one column-major buffer holds it,
+    # and each round's frame is a view of its leading columns.
+    hull = np.empty((n, n), dtype=complex, order="F")
+    hull[:, :dim] = frame
     added = frame
     rounds = 0
     while True:
         rounds += 1
-        if frame.shape[1] >= frame.shape[0]:
+        frame = hull[:, :dim]
+        if dim >= n:
             return frame, rounds
         images = images_of(frame, added)
         for _pass in range(2):  # Gram-Schmidt twice is enough against the frame
@@ -141,7 +147,8 @@ def _invariant_hull(frame: np.ndarray, images_of, cfg: ToleranceConfig):
         added = _orthonormal_columns(images, cfg.rank_tol, scale=1.0)
         if added.shape[1] == 0:
             return frame, rounds
-        frame = np.hstack([frame, added])
+        hull[:, dim:dim + added.shape[1]] = added
+        dim += added.shape[1]
 
 
 def _on_circle(values: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
@@ -179,7 +186,7 @@ def _unitary_within(relation: Relation, space: Subspace, cfg: ToleranceConfig):
     coordinates of its own subspace: its isometry deviation, and the
     codimensions of its domain and range summed (0 when both are full)."""
     part = compress(relation, space, cfg)
-    iso_dev = _max_abs_eig(_contraction_form(part)[0])
+    iso_dev = _max_abs_eig(_contraction_form(part))
     return iso_dev, 2 * part.n - _dom_dim(part, cfg) - _ran_dim(part, cfg)
 
 
@@ -199,7 +206,7 @@ def nfl_decompose(relation: Relation,
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     iso_dev, codim = _unitary_within(part_k, k, cfg)
     within = compress(part_p, k_perp, cfg)
-    cnu_dim = _unimodular_count(within, _contraction_form(within)[0], cfg)
+    cnu_dim = _unimodular_count(within, _contraction_form(within), cfg)
     # The padding never meets K, so K sits inside dom V, the span of the
     # thin QR of F: the guard gave F full column rank.
     r_dom = _norm2(_residual(np.linalg.qr(relation.F)[0], k.frame))
@@ -226,7 +233,7 @@ def wold_decompose(relation: Relation,
     ``||frame^H V added||_2`` over its rounds, so an image inside a sum that
     already fills the space is not measured.
     """
-    w = _contraction_form(relation)[0]
+    w = _contraction_form(relation)
     # With no multivalued part, dom T is n-dimensional when the graph is.
     if _max_abs_eig(w) > cfg.psd_tol or relation.graph.dim < relation.n:
         raise ValueError("relation is not an everywhere-defined isometry")
@@ -280,7 +287,7 @@ def dissipative_decompose(relation: Relation,
     is an operator: a multivalued part of a closed dissipative relation can
     only live inside the selfadjoint part.
     """
-    w = _dissipation_form(relation)[0]
+    w = _dissipation_form(relation)
     if _min_eig(w) < -cfg.psd_tol:
         raise ValueError("relation is not dissipative")
     # T's dissipation form is the contraction form of Z_i(T).
@@ -288,7 +295,7 @@ def dissipative_decompose(relation: Relation,
     k_perp = k.complement()
     part_k, part_p, r_red = _split(relation, k, k_perp, cfg)
     within = z_transform(compress(part_p, k_perp, cfg), 1j, cfg)
-    cns_dim = _unimodular_count(within, _contraction_form(within)[0], cfg)
+    cns_dim = _unimodular_count(within, _contraction_form(within), cfg)
 
     certificates = (
         Certificate("reducing", r_red, cfg.gap_tol),
@@ -390,7 +397,7 @@ def symmetric_wold_decompose(relation: Relation,
     if k.dim > 0:
         # The shift's contraction form is the part's dissipation form.
         shift = z_transform(compress(part_k, k, cfg), 1j, cfg)
-        w = _contraction_form(shift)[0]
+        w = _contraction_form(shift)
         iso_dev = _max_abs_eig(w)
         dom_codim = k.dim - _dom_dim(shift, cfg)
         unit_dim = _unimodular_count(shift, w, cfg)

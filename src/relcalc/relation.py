@@ -368,24 +368,33 @@ def operator_matrix(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> n
     return np.linalg.solve(relation.F.T, relation.G.T).T
 
 
-def _form_eigh(form: np.ndarray):
-    if form.shape[0] > 0:
-        return np.linalg.eigh(form)
-    return np.zeros(0), np.zeros((0, 0))
-
-
-def _dissipation_form(relation: Relation):
-    """Eigenvalues and eigenvectors of the dissipation form (F*G - G*F)/i:
-    in the same coefficients, the contraction form of the Z transform at i,
-    which maps the frame to [G + iF; -i(G - iF)] / sqrt(2)."""
+def _dissipation_form_matrix(relation: Relation) -> np.ndarray:
+    """The dissipation form (F*G - G*F)/i: in the same coefficients, the
+    contraction form of the Z transform at i, which maps the frame to
+    [G + iF; -i(G - iF)] / sqrt(2)."""
     f, g = relation.F, relation.G
-    return _form_eigh((f.conj().T @ g - g.conj().T @ f) / 1j)
+    return (f.conj().T @ g - g.conj().T @ f) / 1j
 
 
-def _contraction_form(relation: Relation):
-    """Eigenvalues and eigenvectors of the contraction form F*F - G*G."""
+def _contraction_form_matrix(relation: Relation) -> np.ndarray:
+    """The contraction form F*F - G*G."""
     f, g = relation.F, relation.G
-    return _form_eigh(f.conj().T @ f - g.conj().T @ g)
+    return f.conj().T @ f - g.conj().T @ g
+
+
+def _eigenvalues(form: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian form, without its eigenvectors."""
+    return np.linalg.eigvalsh(form) if form.shape[0] > 0 else np.zeros(0)
+
+
+def _dissipation_form(relation: Relation) -> np.ndarray:
+    """Eigenvalues of the dissipation form (``_dissipation_form_matrix``)."""
+    return _eigenvalues(_dissipation_form_matrix(relation))
+
+
+def _contraction_form(relation: Relation) -> np.ndarray:
+    """Eigenvalues of the contraction form F*F - G*G."""
+    return _eigenvalues(_contraction_form_matrix(relation))
 
 
 def _min_eig(w: np.ndarray) -> float:
@@ -400,7 +409,7 @@ def _max_abs_eig(w: np.ndarray) -> float:
 
 def _is_symmetric(relation: Relation, cfg: ToleranceConfig) -> bool:
     """Whether the dissipation form vanishes to within ``psd_tol``."""
-    return _max_abs_eig(_dissipation_form(relation)[0]) <= cfg.psd_tol
+    return _max_abs_eig(_dissipation_form(relation)) <= cfg.psd_tol
 
 
 def _shifted_range_dim(relation: Relation, cfg: ToleranceConfig) -> int:
@@ -432,9 +441,11 @@ def classify(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> Classifi
     relation is the range criterion ran(T + iI) = C^n.
     """
     n = relation.n
-    w, vecs = _dissipation_form(relation)
+    diss = _dissipation_form_matrix(relation)
+    w = _eigenvalues(diss)
     diss_min, sym_dev = _min_eig(w), _max_abs_eig(w)
-    w2, vecs2 = _contraction_form(relation)
+    contr = _contraction_form_matrix(relation)
+    w2 = _eigenvalues(contr)
     contr_min, iso_dev = _min_eig(w2), _max_abs_eig(w2)
 
     is_dissipative = diss_min >= -cfg.psd_tol
@@ -456,11 +467,12 @@ def classify(relation: Relation, cfg: ToleranceConfig = DEFAULT_TOL) -> Classifi
     ran_shift_dim = _shifted_range_dim(relation, cfg)
     is_maximal_dissipative = is_dissipative and ran_shift_dim == n
 
+    # The witness is the one read of eigenvectors: of the form that failed.
     witness = None
     if not is_dissipative:
-        witness = relation.graph.frame @ vecs[:, 0]
+        witness = relation.graph.frame @ np.linalg.eigh(diss)[1][:, 0]
     elif not is_contraction:
-        witness = relation.graph.frame @ vecs2[:, 0]
+        witness = relation.graph.frame @ np.linalg.eigh(contr)[1][:, 0]
 
     return ClassificationReport(
         is_operator=is_operator,

@@ -1,8 +1,9 @@
 """Recorders for the work-count tests.
 
 ``record_linalg_calls`` lists the calls of ``np.linalg.svd``,
-``np.linalg.qr``, ``np.linalg.eig`` and ``np.linalg.eigvals`` with the
-shape of the matrix and whether they form vectors.
+``np.linalg.qr``, ``np.linalg.eig``, ``np.linalg.eigvals``,
+``np.linalg.eigh`` and ``np.linalg.eigvalsh`` with the shape of the
+matrix and whether they form vectors.
 ``record_chain_rounds`` records each round of the symmetric-Wold image
 chain after its first (the first has nothing carried yet and factors F
 once): the number of columns the round added, the factorizations it took
@@ -41,13 +42,13 @@ def run_isolated(code, **env):
 
 def _wrap_factorizations(monkeypatch, record):
     """Call ``record(name, shape, vectors)`` on every call of np.linalg.svd,
-    .qr, .eig or .eigvals; ``vectors`` is False for ``eigvals`` and for an
-    SVD with ``compute_uv=False``."""
-    for name in ("svd", "qr", "eig", "eigvals"):
+    .qr, .eig, .eigvals, .eigh or .eigvalsh; ``vectors`` is False for
+    ``eigvals``, ``eigvalsh`` and an SVD with ``compute_uv=False``."""
+    for name in ("svd", "qr", "eig", "eigvals", "eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
         def recorded(mat, *args, _name=name, _original=original, **kwargs):
-            vectors = _name != "eigvals" and kwargs.get("compute_uv", True)
+            vectors = _name not in ("eigvals", "eigvalsh") and kwargs.get("compute_uv", True)
             record(_name, np.shape(mat), vectors)
             return _original(mat, *args, **kwargs)
 
@@ -56,7 +57,7 @@ def _wrap_factorizations(monkeypatch, record):
 
 def record_linalg_calls(monkeypatch):
     """List that fills with (name, shape, vectors) for every call of
-    np.linalg.svd, .qr, .eig or .eigvals."""
+    np.linalg.svd, .qr, .eig, .eigvals, .eigh or .eigvalsh."""
     calls = []
     _wrap_factorizations(monkeypatch, lambda *call: calls.append(call))
     return calls

@@ -10,11 +10,14 @@ from relcalc import (
     Subspace,
     WindowConfig,
     build_elementary_symmetric,
+    build_multivalued_extension,
     classify,
     compress,
     dissipative_decompose,
     maximalize_contraction,
+    nfl_decompose,
     operator_matrix,
+    symmetric_wold_decompose,
     unitary_part_subspace,
     wold_decompose,
     z_transform,
@@ -22,7 +25,9 @@ from relcalc import (
 from relcalc import decompose, shiftmodel
 from relcalc.io import _part_summary
 from relcalc.relation import (
+    _contraction_form,
     _deficiency_dim,
+    _is_symmetric,
     _dom_dim,
     _mul_dim,
     _ran_dim,
@@ -211,7 +216,7 @@ def test_dimension_sites_factor_no_vectors(monkeypatch, rng):
     calls.clear()
     operator_matrix(v)
     assert maximalize_contraction(v) is v
-    assert calls and vector_svds() == [] and all(c[0] == "svd" for c in calls)
+    assert calls == [("svd", (6, 6), False), ("eigvalsh", (6, 6), False)]
 
     # classify reads every dimension as a rank; its one QR is the adjoint.
     calls.clear()
@@ -219,11 +224,12 @@ def test_dimension_sites_factor_no_vectors(monkeypatch, rng):
     assert vector_svds() == []
     assert [c[0] for c in calls if c[0] == "qr"] == ["qr"]
 
-    # The probe: nine kernel dimensions and the direction's residual, all
-    # from singular values alone.
+    # The probe: nine kernel dimensions from singular values alone, and
+    # the direction's residual from the eigenvalues of its Gram matrix.
     calls.clear()
     shiftmodel._window_probe(w, op, kernel, DEFAULT_TOL)
-    assert len(calls) == 10 and vector_svds() == [] and all(c[0] == "svd" for c in calls)
+    assert sorted(c[0] for c in calls) == ["eigvalsh"] + ["svd"] * 9
+    assert not any(c[2] for c in calls)
 
 
 def test_unitary_part_hull_reads_no_rank_of_f(monkeypatch, rng):
@@ -235,9 +241,10 @@ def test_unitary_part_hull_reads_no_rank_of_f(monkeypatch, rng):
     u = Relation.from_operator(gen.random_unitary(rng, 5))
     calls = record_linalg_calls(monkeypatch)
 
-    # Wold's guard reads no rank of F: its first factorization spans ran V.
+    # Wold's guard reads no rank of F: after its form's eigenvalues, its
+    # first factorization spans ran V.
     wold_decompose(u)
-    assert calls[0] == ("svd", (5, 5), True)
+    assert calls[:2] == [("eigvalsh", (5, 5), False), ("svd", (5, 5), True)]
 
     def no_hull(*args):
         raise AssertionError("the unitary part is read without a hull")
@@ -252,11 +259,53 @@ def test_unitary_part_hull_reads_no_rank_of_f(monkeypatch, rng):
     for relation in (v, partial):
         calls.clear()
         unitary_part_subspace(relation)
-        assert calls == read
+        dim = relation.graph.dim
+        assert calls == [("eigvalsh", (dim, dim), False)] + read
     # The dissipative engine reads K first, and certifies the part on K-perp
     # with one eigenvalue count of its own 4 x 4 padded matrix.
     calls.clear()
     result = dissipative_decompose(dissipative)
     assert result.k.dim == 2 and result.passed
-    assert calls[:2] == read
-    assert [c for c in calls if c[0].startswith("eig")] == [read[0], ("eigvals", (4, 4), False)]
+    assert calls[:3] == [("eigvalsh", (6, 6), False)] + read
+    assert [c for c in calls if c[0] in ("eig", "eigvals")] == [
+        read[0], ("eigvals", (4, 4), False)]
+
+
+def test_eigenvectors_only_for_the_witness(monkeypatch, rng):
+    # Every verdict reads its form's eigenvalues alone.  The engines, the
+    # padding and the symmetry guard take no eigh; classify takes one, of
+    # the form that failed, and only to build its witness.
+    v, _ = gen.block_contraction(rng, 2, 3)
+    dissipative = z_transform(gen.block_contraction(rng, 2, 3)[0], 1j)
+    u = Relation.from_operator(gen.random_unitary(rng, 5))
+    extension = build_multivalued_extension(WindowConfig(n=16))
+    q = gen.random_unitary(rng, 4)
+    dissipative_contraction = Relation.from_operator(
+        q @ np.diag([0.5j, 0.3 + 0.2j, -0.4 + 0.1j, 0.9]) @ q.conj().T)
+    expanding_dissipative = Relation.from_operator(np.diag([2j, 0.5]))
+    not_dissipative = Relation.from_operator(q @ np.diag([-0.5j, 0.2, 0.1j, 0.3]) @ q.conj().T)
+    calls = record_linalg_calls(monkeypatch)
+
+    def eighs():
+        return [c for c in calls if c[0] == "eigh"]
+
+    nfl_decompose(v)
+    dissipative_decompose(dissipative)
+    wold_decompose(u)
+    result = symmetric_wold_decompose(extension, require_maximal=False)
+    decompose._padded_matrix(v, _contraction_form(v), DEFAULT_TOL)
+    assert _is_symmetric(extension, DEFAULT_TOL)
+    assert result.k.dim > 0
+    assert calls and eighs() == []
+
+    calls.clear()
+    rep = classify(dissipative_contraction)
+    assert rep.is_dissipative and rep.is_contraction and rep.witness is None
+    assert eighs() == []
+
+    for relation, dissipative_flag in ((not_dissipative, False), (expanding_dissipative, True)):
+        calls.clear()
+        rep = classify(relation)
+        assert rep.is_dissipative == dissipative_flag and rep.witness is not None
+        dim = relation.graph.dim
+        assert eighs() == [("eigh", (dim, dim), True)]

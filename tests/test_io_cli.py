@@ -19,6 +19,7 @@ from relcalc import (
     run_shift_example,
     symmetric_wold_decompose,
 )
+from relcalc import cli
 from relcalc.cli import main
 from relcalc.io import (
     _encode_matrix,
@@ -461,6 +462,52 @@ def test_cli_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cli_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    # In-process calls share one parser, across successes, a bad flag
+    # (argparse's exit 2) and a ValueError (exit 2), with the outputs and
+    # exit codes of a fresh parser per call.
+    path = _relation_file(tmp_path, Relation.from_operator(np.diag([0.0, 1j])))
+    bad = _relation_file(tmp_path, Relation.from_operator(np.array([[-5j]])), "bad.json")
+    decompose = ["decompose", "--mode", "dissipative", path]
+    sequence = [["classify", path], ["ztransform", path], decompose,
+                ["decompose", "--mode", "nfl", "--frobnicate", path],
+                ["decompose", "--mode", "dissipative", bad], decompose]
+
+    def run_sequence():
+        results = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = run_sequence()
+    built = []
+    build_parser = cli.build_parser
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        shared = run_sequence()
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 2, 0]
+    assert "unrecognized arguments: --frobnicate" in shared[3][2]
+    assert "relation is not dissipative" in shared[4][2]
+    monkeypatch.undo()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_cli_reports_deterministic(tmp_path, capsys, rng):

@@ -399,8 +399,8 @@ def test_classify_witness(rng):
 
 
 def _form_readings(t):
-    diss, _ = _dissipation_form(t)
-    contr, _ = _contraction_form(t)
+    diss = _dissipation_form(t)
+    contr = _contraction_form(t)
     return {
         "dissipation_min_eig": _min_eig(diss),
         "symmetry_deviation": _max_abs_eig(diss),
@@ -427,6 +427,63 @@ def test_form_readers_match_classify_bit_for_bit(rng):
         assert float(t.n - _shifted_range_dim(t, CFG)) == rep.residuals["shifted_range_codim"]
     empty = _form_readings(Relation.zero(3))
     assert empty == dict.fromkeys(empty, 0.0)
+
+
+def _eigh_forms(t):
+    """eigh of the dissipation and contraction forms, written out here."""
+    f, g = t.F, t.G
+    forms = ((f.conj().T @ g - g.conj().T @ f) / 1j, f.conj().T @ f - g.conj().T @ g)
+    return [np.linalg.eigh(form) if form.shape[0] else (np.zeros(0), None) for form in forms]
+
+
+def _classify_families(rng):
+    cases = []
+    for n in (1, 2, 4):
+        cases += [gen.random_relation(rng, n, d) for d in range(2 * n + 1)]
+    for _ in range(4):
+        for n in (2, 3, 5):
+            cases += [gen.random_dissipative(rng, n), gen.random_symmetric(rng, n),
+                      gen.random_contraction_relation(rng, n), gen.random_isometry_relation(rng, n),
+                      gen.random_selfadjoint(rng, n), gen.random_dissipative(rng, n, maximal=True),
+                      gen.block_contraction(rng, 2, n)[0],
+                      gen.random_shift_symmetric(rng, [n], 1)[0]]
+    # Form eigenvalues planted at half and twice psd_tol past each edge:
+    # an eigenvalue mu of a normal operator has dissipation eigenvalue
+    # 2 Im mu / (1 + |mu|^2) and contraction eigenvalue (1 - |mu|^2) / (1 + |mu|^2).
+    for offset in (0.5, 2.0):
+        q = gen.random_unitary(rng, 3)
+        for diag in ([-offset * CFG.psd_tol / 2 * 1j, 0.5j, 0.2],
+                     [1 + offset * CFG.psd_tol, 0.5, 0.1j]):
+            cases.append(Relation.from_operator(q @ np.diag(diag) @ q.conj().T))
+    return cases
+
+
+def test_classify_verdicts_and_witness_match_eigh_of_the_forms(rng):
+    # classify reads its verdicts from eigenvalues alone and takes eigh
+    # only for the witness, of the form that failed: the witness is that
+    # eigh's first eigenvector bit for bit, and every verdict and residual
+    # agrees with eigh's eigenvalues.
+    witnesses = 0
+    for t in _classify_families(rng):
+        rep = classify(t)
+        (w, vecs), (w2, vecs2) = _eigh_forms(t)
+        is_dissipative = _min_eig(w) >= -CFG.psd_tol
+        is_contraction = _min_eig(w2) >= -CFG.psd_tol
+        assert (rep.is_dissipative, rep.is_symmetric, rep.is_contraction, rep.is_isometry) == (
+            is_dissipative, _max_abs_eig(w) <= CFG.psd_tol,
+            is_contraction, _max_abs_eig(w2) <= CFG.psd_tol)
+        expected = {"dissipation_min_eig": _min_eig(w), "symmetry_deviation": _max_abs_eig(w),
+                    "contraction_min_eig": _min_eig(w2), "isometry_deviation": _max_abs_eig(w2)}
+        for key, value in expected.items():
+            assert abs(rep.residuals[key] - value) <= 1e-14
+        if not is_dissipative:
+            assert np.array_equal(rep.witness, t.graph.frame @ vecs[:, 0])
+        elif not is_contraction:
+            assert np.array_equal(rep.witness, t.graph.frame @ vecs2[:, 0])
+        else:
+            assert rep.witness is None
+        witnesses += rep.witness is not None
+    assert witnesses > 20
 
 
 def test_selfadjoint_examples(rng):

@@ -250,8 +250,9 @@ def test_shift_example_work(monkeypatch):
     # once; the splitting and the probe read ker(T* + i) as the complement
     # of the transform's range, so neither takes an adjoint or a
     # deficiency space for it.  The probe inside the example is the public
-    # one.  No step forms an N x N projector or takes the spectrum of one.
-    counts = {"classify": 0, "adjoint": 0, "deficiency": 0, "projector": 0, "eigvalsh": 0}
+    # one.  No step forms an N x N projector or takes the spectrum of one:
+    # no eigvalsh input is an N x N idempotent of trace at least 1.
+    counts = {"classify": 0, "adjoint": 0, "deficiency": 0, "projector": 0}
     for module in [m for name, m in sys.modules.items()
                    if name == "relcalc" or name.startswith("relcalc.")]:
         if getattr(module, "classify", None) is classify:
@@ -259,7 +260,14 @@ def test_shift_example_work(monkeypatch):
     _count_calls(monkeypatch, Relation, "adjoint", counts)
     _count_calls(monkeypatch, Relation, "deficiency", counts)
     _count_calls(monkeypatch, Subspace, "projector", counts)
-    _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
+    spectra = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded_eigvalsh(mat, *args, **kwargs):
+        spectra.append(np.array(mat))
+        return eigvalsh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
     probes = []
     window_probe = shiftmodel._window_probe
 
@@ -275,7 +283,11 @@ def test_shift_example_work(monkeypatch):
     assert counts["adjoint"] <= 5
     assert counts["deficiency"] == 0
     assert counts["projector"] == 0
-    assert counts["eigvalsh"] == 0
+    assert spectra
+    for mat in spectra:
+        assert not (mat.shape[0] == W16.n
+                    and np.abs(mat @ mat - mat).max() <= 1e-12
+                    and np.trace(mat).real >= 1)
 
     # The public probe goes through the same helper and agrees exactly.
     counts.update(adjoint=0, deficiency=0)

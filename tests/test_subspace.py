@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import relcalc
 from relcalc import Subspace, ToleranceConfig
-from relcalc.subspace import _move_to_front, _orthonormal_columns
+from relcalc.subspace import _move_to_front, _norm2, _orthonormal_columns
 
 import gen
 from probes import run_isolated
@@ -441,3 +441,53 @@ def test_span_frame_agrees_across_blas_thread_counts(tmp_path):
 def test_subspace_rejects_malformed_input(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+NORM_SHAPES = [(1, 1), (1, 4), (5, 1), (7, 3), (3, 7), (16, 16), (64, 20), (20, 64),
+               (130, 70), (300, 150), (150, 300)]
+NORM_SCALES = [1.0, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-15, 1e-200, 1e200]
+
+
+@pytest.mark.parametrize("scale", NORM_SCALES)
+def test_norm2_matches_the_largest_singular_value(rng, scale):
+    # The Gram read of ||R||_2 against the SVD's, on tall and wide shapes,
+    # full rank and rank deficient, at the scale of unit frames, around
+    # gap_tol (where containment and equality are decided), near rounding
+    # and far out in both directions.
+    for rows, cols in NORM_SHAPES:
+        for rank in {min(rows, cols), max(1, min(rows, cols) // 3)}:
+            mat = gen.complex_matrix(rng, rows, rank) @ gen.complex_matrix(rng, rank, cols)
+            mat *= scale
+            expected = np.linalg.svd(mat, compute_uv=False)[0]
+            assert abs(_norm2(mat) - expected) <= 1e-14 * expected, (rows, cols, rank)
+
+
+def test_norm2_of_zero_and_empty_matrices():
+    for shape in [(1, 1), (4, 2), (2, 4), (0, 3), (3, 0), (0, 0)]:
+        assert _norm2(np.zeros(shape, dtype=complex)) == 0.0
+    assert _norm2(np.zeros((3, 2))) == 0.0
+
+
+def test_norm2_at_the_ends_of_the_float_range(rng):
+    # Past 2^+-1020 the scaling exponent is held there: a subnormal matrix
+    # still reads its norm (to the precision its subnormal result keeps),
+    # and a norm beyond the float range reads inf, as the SVD's does.
+    for scale, rel in [(1e-310, 1e-12), (1e307, 1e-14)]:
+        mat = gen.complex_matrix(rng, 3, 2) * scale
+        expected = np.linalg.svd(mat, compute_uv=False)[0]
+        assert 0 < expected < np.inf
+        assert abs(_norm2(mat) - expected) <= rel * expected
+    huge = np.full((4, 3), 1.5e308)
+    assert _norm2(huge) == np.linalg.svd(huge, compute_uv=False)[0] == np.inf
+
+
+def test_norm2_of_planted_residuals_near_gap_tol(rng):
+    # Residuals (I - P_B) A with the largest sine planted around gap_tol:
+    # the containment verdict reads the same side of the cut as the SVD's.
+    for sine in [0.5e-8, 0.9e-8, 0.99e-8, 1.01e-8, 1.1e-8, 2e-8]:
+        q = gen.random_unitary(rng, 12)
+        a = q[:, :3] * np.sqrt(1 - sine ** 2) + q[:, 3:6] * np.array([sine, 0.3 * sine, 0.0])
+        residual = a - q[:, :3] @ (q[:, :3].conj().T @ a)
+        expected = np.linalg.svd(residual, compute_uv=False)[0]
+        assert abs(_norm2(residual) - expected) <= 1e-14 * expected
+        assert (_norm2(residual) <= CFG.gap_tol) == (expected <= CFG.gap_tol) == (sine <= 1e-8)

@@ -1,6 +1,7 @@
 """The benchmark's span tracer names relcalc functions, and its checks read
 relcalc report attributes; they must exist.  Every document relcalc writes
-goes through ``io.dumps``."""
+goes through ``io.dumps``.  Eigenvectors, parser trees and SVDs are taken
+only where they are read."""
 
 import ast
 import importlib
@@ -98,3 +99,46 @@ def test_documents_are_written_by_io_dumps_alone():
                 indented.append(f"{path.name}:{call.lineno}")
     assert callers == {"io.dumps"}
     assert indented == [] and imported == []
+
+
+def _calls_by_function(tree):
+    """(enclosing top-level function, dotted callee) for each call whose
+    callee is a name or an attribute chain."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                parts, func = [], node.func
+                while isinstance(func, ast.Attribute):
+                    parts.append(func.attr)
+                    func = func.value
+                if isinstance(func, ast.Name):
+                    name = getattr(top, "name", None)
+                    found.append((name, ".".join([func.id, *reversed(parts)])))
+    return found
+
+
+def _is_eigh_call(node):
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.eigh"
+
+
+def test_vector_routines_and_parser_trees_are_taken_where_read():
+    # eigh only for classify's witness, the parser tree only through the
+    # cached accessor, and the 2-norm from a Gram matrix, with no SVD.
+    calls = {}
+    for path in sorted(SOURCES.glob("*.py")):
+        for function, callee in _calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            calls.setdefault(callee, set()).add(f"{path.stem}.{function}")
+    assert calls.get("np.linalg.eigh") == {"relation.classify"}
+    classify = next(node for node in ast.parse((SOURCES / "relation.py").read_text(encoding="utf-8")).body
+                    if getattr(node, "name", None) == "classify")
+    eighs = [node for node in ast.walk(classify) if _is_eigh_call(node)]
+    in_witness = [node for assign in ast.walk(classify) if isinstance(assign, ast.Assign)
+                  and [ast.unparse(t) for t in assign.targets] == ["witness"]
+                  for node in ast.walk(assign.value) if _is_eigh_call(node)]
+    assert eighs and eighs == in_witness
+    assert not {callee for callee in calls if callee.endswith("eigh") and callee != "np.linalg.eigh"}
+    assert calls.get("build_parser") == {"cli._parser"}
+    norm2 = {callee for callee, callers in calls.items() if "subspace._norm2" in callers}
+    assert "np.linalg.eigvalsh" in norm2
+    assert not {callee for callee in norm2 if "svd" in callee}
