@@ -12,6 +12,7 @@ classification.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -187,34 +188,30 @@ class Relation:
     # -- algebra --------------------------------------------------------
 
     def add(self, other: "Relation", cfg: ToleranceConfig = DEFAULT_TOL) -> "Relation":
-        """Relation sum ``{(f, g + h) : (f, g) in self, (f, h) in other}``.
-
-        Built in a tripled ambient space by intersecting the two lifted
-        constraint subspaces and mapping each triple (f, g, h) to
-        (f, g + h), which avoids pseudo-inverse noise on multivalued parts.
-        """
+        """Relation sum ``{(f, g + h) : (f, g) in self, (f, h) in other}``,
+        from the pairs (F a, h) in the other graph (``_graph_pairs``)."""
         self._check_space(other)
-        n = self.n
-        triples = _lift(self, 0, 1).intersect(_lift(other, 0, 2), cfg)
-        w = triples.frame
-        mapped = np.vstack([w[:n], w[n : 2 * n] + w[2 * n :]])
-        return Relation(Subspace.span(mapped, cfg, ambient_dim=2 * n, scale=1.0))
+        pairs, a = _graph_pairs(self.F, other, cfg)
+        pairs[self.n :] += self.G @ a
+        return Relation(Subspace.span(pairs, cfg, ambient_dim=2 * self.n, scale=1.0))
 
     def scale(self, zeta: complex, cfg: ToleranceConfig = DEFAULT_TOL) -> "Relation":
         """Relation ``{(f, zeta * g)}``.  For zeta = 0 the graph collapses
-        to ``dom x {0}``, not to the zero relation."""
-        zc = _finite_zeta(zeta)
+        to ``dom x {0}``, not to the zero relation.  It never squares zeta,
+        so any finite zeta is accepted."""
+        zc = complex(zeta)
+        if not np.isfinite(zc):
+            raise ValueError("zeta must be finite")
         mapped = np.vstack([self.F, zc * self.G])
         return Relation(Subspace.span(mapped, cfg, ambient_dim=2 * self.n, scale=1.0))
 
     def compose(self, other: "Relation", cfg: ToleranceConfig = DEFAULT_TOL) -> "Relation":
-        """Composition self o other: ``{(f, k) : (f, g) in other, (g, k) in self}``."""
+        """Composition self o other: ``{(f, k) : (f, g) in other, (g, k) in self}``,
+        from the pairs (G' a, k) in this graph, for the other frame [F'; G']."""
         self._check_space(other)
-        n = self.n
-        triples = _lift(other, 0, 1).intersect(_lift(self, 1, 2), cfg)
-        w = triples.frame
-        mapped = np.vstack([w[:n], w[2 * n :]])
-        return Relation(Subspace.span(mapped, cfg, ambient_dim=2 * n, scale=1.0))
+        pairs, a = _graph_pairs(other.G, self, cfg)
+        pairs[: self.n] = other.F @ a
+        return Relation(Subspace.span(pairs, cfg, ambient_dim=2 * self.n, scale=1.0))
 
     def inverse(self) -> "Relation":
         """Relation ``{(g, f)}``; swapping the blocks keeps the frame
@@ -268,8 +265,6 @@ class Relation:
         ``intersect`` does.
         """
         zc = _finite_zeta(zeta)
-        if self.graph.dim == 0:
-            return Relation.zero(self.n)
         norm2 = 1.0 + abs(zc) ** 2
         f, g = self.F, self.G
         coeffs = _shared_coefficients((g - zc * f) / np.sqrt(norm2), np.sqrt(2) * cfg.rank_tol)
@@ -306,23 +301,27 @@ class Relation:
         return f"Relation(n={self.n}, graph_dim={self.graph.dim})"
 
 
-def _lift(relation: Relation, first: int, second: int) -> Subspace:
-    """The graph placed in blocks ``first`` and ``second`` of the triple
-    space C^n (+) C^n (+) C^n, spanned with the identity on the third block."""
-    n, r = relation.n, relation.graph.dim
-    frame = np.zeros((3 * n, r + n), dtype=complex)
-    frame[first * n : (first + 1) * n, :r] = relation.F
-    frame[second * n : (second + 1) * n, :r] = relation.G
-    third = 3 - first - second
-    frame[third * n : (third + 1) * n, r:] = np.eye(n)
-    return Subspace(frame)
+def _graph_pairs(block: np.ndarray, relation: Relation, cfg: ToleranceConfig):
+    """Pairs (B a, y) in the graph, for a block B of an orthonormal frame
+    [B; C] and y free: the halfway points X c - R c / 2 and the a of the
+    c = (a, y) that ``_shared_coefficients`` keeps of R = (I - P) X, for
+    X = [B 0; 0 I].  R is the residual of [B 0; C 0; 0 I] against the graph
+    lifted to C^3n (free on C's block) less a zero block: ``intersect``'s cut."""
+    n, r = relation.n, block.shape[1]
+    lifted = np.zeros((2 * n, r + n), dtype=complex)
+    lifted[:n, :r] = block
+    lifted[n:, r:] = np.eye(n)
+    off = _residual(relation.graph.frame, lifted)
+    coeffs = _shared_coefficients(off, np.sqrt(2) * cfg.rank_tol)
+    return lifted @ coeffs - (off @ coeffs) / 2, coeffs[:r]
 
 
 def _finite_zeta(zeta) -> complex:
-    """``zeta`` as a complex number, rejected unless finite."""
+    """``zeta`` as a complex number, rejected unless it and |zeta|^2 are
+    finite: |zeta| at most the root of the largest float, about 1.34e154."""
     zc = complex(zeta)
-    if not np.isfinite(zc):
-        raise ValueError("zeta must be finite")
+    if not math.hypot(zc.real, zc.imag) <= math.sqrt(np.finfo(float).max):
+        raise ValueError("zeta must be finite with a finite |zeta|^2, that is |zeta| <= 1.34e154")
     return zc
 
 

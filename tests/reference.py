@@ -14,8 +14,12 @@ unitary part from the eigenvalues: mapping only each round's new columns.
 ``line_deficiency`` the intersection of the graph with the 2n x n line
 frame {(f, zeta f)}.  All cut at ``rank_tol`` on an absolute scale.
 ``lifted_restrict_domain`` is the domain restriction as the intersection
-of the graph with the 2n x (dim M + n) frame of M (+) H, and
-``kernel_image`` the image of M as the G side of the kernel of
+of the graph with the 2n x (dim M + n) frame of M (+) H.  ``lifted_add``
+and ``lifted_compose`` are the sum and the composition as the library
+built them before it read their pairs in the doubled space: two graphs
+lifted to the tripled space C^n (+) C^n (+) C^n, each spanned with the
+identity on its free block, intersected there (a 3n-row residual) and
+mapped back.  ``kernel_image`` is the image of M as the G side of the kernel of
 (I - P_M) F at ``rank_tol``.  ``loop_shift`` and
 ``loop_elementary_symmetric`` build the shift model's generators one
 pair at a time.  ``row_space_image_chain`` grows the symmetric-Wold image
@@ -72,6 +76,30 @@ def lifted_restrict_domain(relation, space, cfg=DEFAULT_TOL):
     frame[:n, : space.dim] = space.frame
     frame[n:, space.dim :] = np.eye(n)
     return Relation(relation.graph.intersect(Subspace(frame), cfg))
+
+
+def _lift(relation, first, second):
+    n, r = relation.n, relation.graph.dim
+    frame = np.zeros((3 * n, r + n), dtype=complex)
+    frame[first * n : (first + 1) * n, :r] = relation.F
+    frame[second * n : (second + 1) * n, :r] = relation.G
+    third = 3 - first - second
+    frame[third * n : (third + 1) * n, r:] = np.eye(n)
+    return Subspace(frame)
+
+
+def lifted_add(s, t, cfg=DEFAULT_TOL):
+    n = s.n
+    w = _lift(s, 0, 1).intersect(_lift(t, 0, 2), cfg).frame
+    mapped = np.vstack([w[:n], w[n : 2 * n] + w[2 * n :]])
+    return Relation(Subspace.span(mapped, cfg, ambient_dim=2 * n, scale=1.0))
+
+
+def lifted_compose(s, t, cfg=DEFAULT_TOL):
+    n = s.n
+    w = _lift(t, 0, 1).intersect(_lift(s, 1, 2), cfg).frame
+    mapped = np.vstack([w[:n], w[2 * n :]])
+    return Relation(Subspace.span(mapped, cfg, ambient_dim=2 * n, scale=1.0))
 
 
 def kernel_image(relation, space, cfg=DEFAULT_TOL):

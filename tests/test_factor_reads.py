@@ -309,3 +309,20 @@ def test_eigenvectors_only_for_the_witness(monkeypatch, rng):
         assert rep.is_dissipative == dissipative_flag and rep.witness is not None
         dim = relation.graph.dim
         assert eighs() == [("eigh", (dim, dim), True)]
+
+
+def test_sum_and_composition_factor_in_the_doubled_space(monkeypatch, rng):
+    # The pairs come from one SVD with vectors of the 2n x (r + n) residual
+    # of [B 0; 0 I] (B = F of the left summand, G of the right factor), and
+    # the result from one more, of its 2n-row span: no factored matrix has
+    # more than 2n rows, and no other factorization is taken.
+    n = 5
+    calls = record_linalg_calls(monkeypatch)
+    for left_dim, right_dim in ((3, 4), (7, 2), (5, 5), (10, 6)):
+        s, t = gen.random_relation(rng, n, left_dim), gen.random_relation(rng, n, right_dim)
+        for op, r in ((s.add, left_dim), (s.compose, right_dim)):
+            calls.clear()
+            result = op(t)
+            assert result.graph.dim > 0
+            assert [(name, vectors) for name, _, vectors in calls] == [("svd", True)] * 2
+            assert calls[0][1] == (2 * n, r + n) and calls[1][1][0] == 2 * n

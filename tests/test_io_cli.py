@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relcalc import (
     DocumentError,
@@ -414,6 +416,41 @@ def test_cli_non_finite_zeta_exits_two(tmp_path, capsys, zeta):
     path = _relation_file(tmp_path, Relation.identity(2))
     assert main(["ztransform", "--zeta", zeta, path]) == 2
     assert f"--zeta: must be finite, got {zeta!r}" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("zeta", ["1e200,0", "0,-1e155", "1e308,1e308"])
+def test_cli_zeta_whose_square_overflows_exits_two(tmp_path, capsys, zeta):
+    path = _relation_file(tmp_path, Relation.identity(2))
+    assert main(["ztransform", "--zeta", zeta, path]) == 2
+    assert "error: zeta must be finite" in capsys.readouterr().err
+
+
+_HUGE_AND_TINY = [1e308, -1e308, 1e-320, -1e-320, 1e154, 1.34e154, 1.35e154, 1e155, 1e200, -1e200]
+
+
+@pytest.fixture(scope="module")
+def identity_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("zeta") / "t.json"
+    path.write_text(emit_relation(Relation.identity(2)), encoding="utf-8")
+    return str(path)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@example(zeta=(1e308, -1e308))
+@example(zeta=(1e-320, -1e-320))
+@example(zeta=(1e154, 0.0))
+@example(zeta=(0.0, -1.34e154))
+@example(zeta=(1.35e154, 0.0))
+@example(zeta=(1e200, 1e155))
+@given(st.tuples(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(_HUGE_AND_TINY)),
+                 st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(_HUGE_AND_TINY))))
+def test_cli_ztransform_exits_zero_or_two_on_every_finite_zeta(identity_file, zeta):
+    # a finite RE,IM pair is transformed (0) or rejected as input (2), never raised
+    re_part, im_part = zeta
+    assert main(["ztransform", f"--zeta={re_part!r},{im_part!r}", identity_file]) in (0, 2)
 
 
 @pytest.mark.parametrize("zeta", ["1", "1,2,3", "i,0"])

@@ -14,6 +14,7 @@ from relcalc import (
 )
 from relcalc.relation import (
     _contraction_form,
+    _deficiency_dim,
     _dissipation_form,
     _is_symmetric,
     _max_abs_eig,
@@ -22,7 +23,13 @@ from relcalc.relation import (
 )
 
 import gen
-from reference import kernel_image, lifted_restrict_domain, line_deficiency
+from reference import (
+    kernel_image,
+    lifted_add,
+    lifted_compose,
+    lifted_restrict_domain,
+    line_deficiency,
+)
 
 CFG = ToleranceConfig()
 DEFICIENCY_POINTS = [1j, -1j, 2j, 0.0, 1.0, 1.0 + 1j]
@@ -150,6 +157,97 @@ def test_add_respects_domains():
     t = Relation.from_operator(np.eye(2)).restrict_domain(Subspace.from_basis_indices(2, [0]))
     s = Relation.from_operator(np.eye(2)).restrict_domain(Subspace.from_basis_indices(2, [1]))
     assert t.add(s).graph.dim == 0
+
+
+def _assert_sum_and_composition_match_lifted(s, t, cfg=CFG):
+    for got, ref in ((s.add(t, cfg), lifted_add(s, t, cfg)),
+                     (s.compose(t, cfg), lifted_compose(s, t, cfg))):
+        assert got.graph.dim == ref.graph.dim
+        assert got.gap(ref) < 1e-12
+
+
+def test_add_and_compose_match_lifted_reference(rng):
+    # every pair of graph dimensions, in both orders, for n up to 6
+    for n in range(1, 7):
+        for left_dim in range(2 * n + 1):
+            for right_dim in range(2 * n + 1):
+                s = gen.random_relation(rng, n, left_dim)
+                t = gen.random_relation(rng, n, right_dim)
+                _assert_sum_and_composition_match_lifted(s, t)
+
+
+def _algebra_families(rng, n):
+    space = gen.random_subspace(rng, n, int(rng.integers(1, n + 1)))
+    op = Relation.from_operator(gen.complex_matrix(rng, n, n))
+    return [
+        op,
+        op.restrict_domain(gen.random_subspace(rng, n)),
+        gen.random_dissipative(rng, n, multivalued=True),
+        Relation.from_graph_matrix(np.zeros((n, space.dim)), space.frame),  # {0} x M
+        Relation.from_graph_matrix(space.frame, np.zeros((n, space.dim))),  # M x {0}
+        Relation.zero(n),
+        Relation(Subspace.full(2 * n)),
+    ]
+
+
+def test_add_and_compose_match_lifted_reference_on_families(rng):
+    # operators, partial operators, multivalued and zero-domain relations
+    for n in range(1, 6):
+        for _ in range(2):
+            families = _algebra_families(rng, n)
+            for s in families:
+                for t in families:
+                    _assert_sum_and_composition_match_lifted(s, t)
+
+
+def test_add_and_compose_match_lifted_reference_at_a_coarse_cut(rng):
+    # At rank_tol = 0.5 the lifted reference keeps sines up to 0.707, and
+    # its intersection raises where their halfway points are not
+    # orthonormal to 1e-8; everywhere else the answers must agree.
+    cfg = ToleranceConfig(rank_tol=0.5)
+    compared = total = 0
+    for n in range(1, 5):
+        for left_dim in range(2 * n + 1):
+            for right_dim in range(2 * n + 1):
+                s = gen.random_relation(rng, n, left_dim)
+                t = gen.random_relation(rng, n, right_dim)
+                for op, ref in ((s.add, lifted_add), (s.compose, lifted_compose)):
+                    got, total = op(t, cfg), total + 1
+                    try:
+                        expected = ref(s, t, cfg)
+                    except ValueError as exc:
+                        assert "not orthonormal" in str(exc)
+                        continue
+                    compared += 1
+                    assert got.graph.dim == expected.graph.dim
+                    assert got.gap(expected) < 1e-12
+    assert compared >= total // 3
+
+
+def _near_cut_pair(rng, tilt):
+    # The domains of s and t share e3 exactly and e1 only up to ``tilt``,
+    # and so do the range of s_range and the domain of t: the pairs of
+    # s + t and of t o s_range.  Small graph blocks keep the sine near the
+    # tilt, so the grid below straddles the cut.
+    q = gen.random_unitary(rng, 3)
+    e = np.eye(3)
+    u = np.cos(tilt) * e[:, 0] + np.sin(tilt) * e[:, 1]
+    c = 0.1 * gen.complex_matrix(rng, 3, 4)
+    s = Relation.from_pairs([(q @ e[:, 0], q @ c[:, 0]), (q @ e[:, 2], q @ c[:, 1])])
+    t = Relation.from_pairs([(q @ u, q @ c[:, 2]), (q @ e[:, 2], q @ c[:, 3])])
+    s_range = Relation.from_pairs([(q @ c[:, 0], q @ e[:, 0]), (q @ c[:, 1], q @ e[:, 2])])
+    return (s, t), (t, s_range)
+
+
+def test_add_and_compose_keep_the_lifted_dimension_at_the_cut(rng):
+    seen = set()
+    for tilt in np.geomspace(5e-11, 3e-10, 40):
+        (s, t), (left, right) = _near_cut_pair(rng, tilt)
+        for got, ref in ((s.add(t), lifted_add(s, t)),
+                         (left.compose(right), lifted_compose(left, right))):
+            assert got.graph.dim == ref.graph.dim
+            seen.add(got.graph.dim)
+    assert seen == {1, 2}  # the grid keeps e1 below the cut and loses it above
 
 
 def test_scale_zero_keeps_domain():
@@ -309,13 +407,30 @@ def test_deficiency_planted_angle(rng, theta, zeta):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("zeta", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, float("1e400"))])
+@pytest.mark.parametrize("zeta", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, float("1e400")),
+                                  1e155, 1e200, 1e155j, -1e200j, complex(1e154, 1e154)])
 def test_non_finite_zeta_rejected(rng, zeta):
+    # Past |zeta| = 1.34e154 the square |zeta|^2 is not a finite float.
+    # scale never squares zeta, so it rejects only a non-finite one.
     t = gen.random_relation(rng, 3)
-    for call in (lambda: t.deficiency(zeta), lambda: t.scale(zeta),
-                 lambda: classify_point(t, zeta)):
+    calls = [lambda: t.deficiency(zeta), lambda: classify_point(t, zeta),
+             lambda: _deficiency_dim(t, zeta, CFG)]
+    if np.isfinite(zeta):
+        assert t.scale(zeta).n == 3
+    else:
+        calls.append(lambda: t.scale(zeta))
+    for call in calls:
         with pytest.raises(ValueError, match="zeta must be finite"):
             call()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("zeta", [1e154, -1e154j, 1.34e154])
+def test_zeta_of_modulus_up_to_1e154_accepted(rng, zeta):
+    t = gen.random_relation(rng, 3, 3)
+    dim = _deficiency_dim(t, zeta, CFG)
+    assert t.deficiency(zeta).graph.dim == dim
+    assert isinstance(classify_point(t, zeta), SpectralPointClass)
 
 
 def test_image(rng):

@@ -206,7 +206,16 @@ def test_subspace_fixed_point():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("zeta", [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)])
+@pytest.mark.parametrize("zeta", [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1),
+                                  1e155, 1e200, 1e155j, -1e200j])
 def test_non_finite_zeta_rejected(rng, zeta):
+    # past |zeta| = 1.34e154 the square |zeta|^2 is not a finite float
     with pytest.raises(ValueError, match="zeta must be finite"):
         z_transform(gen.random_relation(rng, 3), zeta)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("zeta", [1e154, 1e154j, -1.34e154])
+def test_zeta_of_modulus_up_to_1e154_accepted(rng, zeta):
+    t = gen.random_relation(rng, 3, 3)
+    assert z_transform(t, zeta).graph.dim == 3
