@@ -51,7 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ztransform", help="apply the Z transform to a relation")
     p.add_argument("file", help="relation document (JSON)")
     p.add_argument("--zeta", default="0,1", metavar="RE,IM",
-                   help="transform point (default: 0,1 i.e. zeta = i)")
+                   help="transform point (default: 0,1 i.e. zeta = i); write a "
+                        "negative real part with '=', as --zeta=-1,0")
     p.add_argument("-o", "--output", help="write the transformed relation here")
     p.set_defaults(run=_cmd_ztransform)
 

@@ -14,8 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relation import Relation, doubled
-from .subspace import DEFAULT_TOL, Certificate, Certified, Subspace, ToleranceConfig
+from .relation import Relation
+from .subspace import (
+    DEFAULT_TOL,
+    Certificate,
+    Certified,
+    Subspace,
+    ToleranceConfig,
+    _norm2,
+    _shared_coefficients,
+)
 from .ztransform import z_transform
 
 __all__ = [
@@ -37,10 +45,49 @@ def _sum_gap(whole: Subspace, first: Subspace, second: Subspace,
     return whole.gap(first.sum(second, cfg))
 
 
+def _restrict(relation: Relation, space: Subspace, thin: Subspace,
+              cfg: ToleranceConfig) -> Relation:
+    """Restriction of T to ``space``, whose orthogonal complement is ``thin``.
+
+    The residual of the graph frame X = [F; G] against space (+) space is
+    R = C M for C = thin (+) thin and M = [C_t^H F; C_t^H G] with C_t the
+    frame of ``thin``.  C is orthonormal, so R and the 2 dim(thin) x r
+    matrix M share their singular values and right singular vectors, and
+    ``_shared_coefficients`` reads the coefficients c from M at the cut of
+    ``intersect``.  The halfway points X c - C (M c) / 2 are built block by
+    block.  This is ``Relation.restrict`` when ``thin`` is smaller than
+    ``space`` and the graph frame is the side ``intersect`` would take as
+    A (r <= 2 dim space); every other shape goes through ``restrict``.
+
+    So does a cut at or below 2n eps, the rounding floor of R's 2n-row SVD.
+    There R's r - rank(M) structural zeros read as nonzero sines, which the
+    thin factor reads as exact zeros, and the refinement would divide by
+    sines that rounding made.
+    """
+    cut = np.sqrt(2) * cfg.rank_tol
+    if (not 0 < thin.dim < space.dim or relation.graph.dim > 2 * space.dim
+            or cut <= 2 * relation.n * np.finfo(float).eps):
+        return relation.restrict(space, cfg)
+    q = thin.frame
+    qh = q.conj().T
+    f, g = relation.F, relation.G
+    off = np.vstack([qh @ f, qh @ g])
+    coeffs = _shared_coefficients(off, cut)
+    half = (off @ coeffs) / 2
+    top = f @ coeffs - q @ half[: thin.dim]
+    bottom = g @ coeffs - q @ half[thin.dim :]
+    return Relation(Subspace(np.vstack([top, bottom])))
+
+
 def _split(relation: Relation, k: Subspace, k_perp: Subspace, cfg: ToleranceConfig):
-    """Restrictions of T to K and K-perp, and the gap between T and their sum."""
-    part_k = relation.restrict(k, cfg)
-    part_p = relation.restrict(k_perp, cfg)
+    """Restrictions of T to K and K-perp, and the gap between T and their sum.
+
+    Each restriction reads its shared directions from the thinner of K and
+    K-perp (``_restrict``): on a K of codimension p the restriction to K
+    factors a 2p x r matrix, not the 2n x r residual against K (+) K.
+    """
+    part_k = _restrict(relation, k, k_perp, cfg)
+    part_p = _restrict(relation, k_perp, k, cfg)
     return part_k, part_p, _sum_gap(relation.graph, part_k.graph, part_p.graph, cfg)
 
 
@@ -92,17 +139,25 @@ def compress(relation: Relation, k: Subspace,
              cfg: ToleranceConfig = DEFAULT_TOL) -> Relation:
     """Rewrite a relation with graph inside K (+) K in coordinates of K.
 
-    The containment check passes when the residual delta of the graph
-    frame against K (+) K is at most gap_tol < 1.  So the coordinates of
-    the frame in K have Gram error delta^2 (plus the input frame's own) and
-    singular values of at least sqrt(1 - delta^2): they have full column
-    rank, and one Householder QR orthonormalizes them with no rank read.
+    K^H F and K^H G are formed once.  They give the coordinates
+    [K^H F; K^H G] of the graph frame, and the containment residual
+    delta = ||[F - K K^H F; G - K K^H G]||_2 of the frame against K (+) K,
+    block by block, without the doubled frame.  The check passes when
+    delta is at most gap_tol < 1 (an empty graph passes; a NaN fails).  So
+    the coordinates have Gram error delta^2 (plus the input frame's own)
+    and singular values of at least sqrt(1 - delta^2): they have full
+    column rank, and one Householder QR orthonormalizes them with no rank
+    read.
     """
-    if not doubled(k).contains(relation.graph, cfg):
+    if k.ambient_dim != relation.n:
+        raise ValueError("subspace ambient dimension must equal the space dimension")
+    q = k.frame
+    qh = q.conj().T
+    f, g = relation.F, relation.G
+    top, bottom = qh @ f, qh @ g
+    if not _norm2(np.vstack([f - q @ top, g - q @ bottom])) <= cfg.gap_tol:
         raise ValueError("graph is not contained in the doubled subspace")
-    qh = k.frame.conj().T
-    coords = np.vstack([qh @ relation.F, qh @ relation.G])
-    return Relation(Subspace(np.linalg.qr(coords)[0]))
+    return Relation(Subspace(np.linalg.qr(np.vstack([top, bottom]))[0]))
 
 
 def embed(relation: Relation, k: Subspace) -> Relation:

@@ -225,15 +225,20 @@ def _move_to_front(rows: np.ndarray, mat: np.ndarray) -> int:
     rest to 0.  LAPACK's reflectors I - tau v v^H are applied at once in the
     compact WY form I - V T V^H (Schreiber & Van Loan 1989), in O(t) flops
     per entry of ``mat``, with T = diag(tau) (I + striu(V^H V) diag(tau))^-1
-    (Joffrain et al. 2006), which never divides by a tau that is 0."""
+    (Joffrain et al. 2006), which never divides by a tau that is 0.  One
+    row (each round of the shift's image chain) has T = [tau]: its
+    reflector is applied without the triangular solve, which would divide
+    by 1, so the result is the same to the bit."""
     t = min(rows.shape)
     h, tau = np.linalg.qr(rows.conj().T, mode="raw")
     v = np.tril(h.T[:, :t], -1)
     np.fill_diagonal(v, 1)
-    v_h = v.conj().T
-    tri = np.triu(v_h @ v, 1) * tau
-    np.fill_diagonal(tri, 1)
-    mat -= (mat @ v) @ (tau[:, None] * np.linalg.solve(tri, v_h))
+    factor = v.conj().T
+    if t > 1:
+        tri = np.triu(factor @ v, 1) * tau
+        np.fill_diagonal(tri, 1)
+        factor = np.linalg.solve(tri, factor)
+    mat -= (mat @ v) @ (tau[:, None] * factor)
     return t
 
 

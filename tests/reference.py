@@ -38,12 +38,19 @@ before one numpy call built them.  ``graph_sum_padding`` pads a
 contraction by zero outside its domain as the library did before it read
 the padding from the contraction form: it spans dom V, sums the graph with
 (dom V)-perp (+) {0} and solves the n-dimensional sum for its matrix.
+``doubled_split`` and ``doubled_compress`` split a relation across K and
+K-perp as the library did before it read each restriction from the
+thinner side: both restrictions through ``Relation.restrict`` (a 2n-row
+residual against the doubled frame), and the containment of a graph in
+K (+) K through ``doubled(k).contains``.  ``wy_move_to_front`` is
+``_move_to_front`` through the compact WY form for every row count, one
+row included.
 """
 
 import numpy as np
 
 from relcalc import DEFAULT_TOL, Relation, Subspace, ToleranceConfig, z_transform
-from relcalc.relation import _finite_zeta
+from relcalc.relation import _finite_zeta, doubled
 from relcalc.decompose import _invariant_hull
 from relcalc.subspace import _kernel, _orthonormal_columns, _right_singular_split
 
@@ -261,3 +268,29 @@ def span_dims(relation, cfg=DEFAULT_TOL):
 
 def loop_encode_matrix(matrix):
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
+
+
+def doubled_split(relation, k, k_perp, cfg=DEFAULT_TOL):
+    part_k = relation.restrict(k, cfg)
+    part_p = relation.restrict(k_perp, cfg)
+    return part_k, part_p, relation.graph.gap(part_k.graph.sum(part_p.graph, cfg))
+
+
+def doubled_compress(relation, k, cfg=DEFAULT_TOL):
+    if not doubled(k).contains(relation.graph, cfg):
+        raise ValueError("graph is not contained in the doubled subspace")
+    qh = k.frame.conj().T
+    coords = np.vstack([qh @ relation.F, qh @ relation.G])
+    return Relation(Subspace(np.linalg.qr(coords)[0]))
+
+
+def wy_move_to_front(rows, mat):
+    t = min(rows.shape)
+    h, tau = np.linalg.qr(rows.conj().T, mode="raw")
+    v = np.tril(h.T[:, :t], -1)
+    np.fill_diagonal(v, 1)
+    v_h = v.conj().T
+    tri = np.triu(v_h @ v, 1) * tau
+    np.fill_diagonal(tri, 1)
+    mat -= (mat @ v) @ (tau[:, None] * np.linalg.solve(tri, v_h))
+    return t

@@ -20,6 +20,7 @@ from relcalc import (
     reduction_certificates,
     run_shift_example,
     symmetric_wold_decompose,
+    z_transform,
 )
 from relcalc import cli
 from relcalc.cli import main
@@ -451,6 +452,20 @@ def test_cli_ztransform_exits_zero_or_two_on_every_finite_zeta(identity_file, ze
     # a finite RE,IM pair is transformed (0) or rejected as input (2), never raised
     re_part, im_part = zeta
     assert main(["ztransform", f"--zeta={re_part!r},{im_part!r}", identity_file]) in (0, 2)
+
+
+def test_cli_zeta_with_a_negative_real_part(tmp_path, capsys, monkeypatch):
+    # argparse reads "-1,0" after a space as an option; the help names the
+    # "--zeta=-1,0" form, which is read as the value.
+    t = Relation.from_operator(np.diag([1j, 2j]))
+    assert main(["ztransform", "--zeta=-1,0", _relation_file(tmp_path, t)]) == 0
+    image = parse_relation(capsys.readouterr().out)
+    assert image.gap(z_transform(t, -1.0)) < 1e-12
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ztransform", "--help"])
+    assert exit_info.value.code == 0
+    assert "--zeta=-1,0" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("zeta", ["1", "1,2,3", "i,0"])

@@ -9,7 +9,13 @@ from relcalc.subspace import _move_to_front, _norm2, _orthonormal_columns
 
 import gen
 from probes import run_isolated
-from reference import projector_gap, stacked_intersect, stacked_sum, svd_complement
+from reference import (
+    projector_gap,
+    stacked_intersect,
+    stacked_sum,
+    svd_complement,
+    wy_move_to_front,
+)
 
 CFG = ToleranceConfig()
 PLANTED_ANGLES = [0.5e-10, 0.9e-10, 1.2e-10, 1.35e-10, 1.5e-10, 3e-10]
@@ -253,6 +259,20 @@ def test_move_to_front_matches_complete_qr(rng):
             # Q is unitary and its trailing columns are orthogonal to the rows.
             assert np.abs(q.conj().T @ q - np.eye(cols)).max() < 1e-13
             assert np.abs(rows @ q[:, t:]).max(initial=0.0) < 1e-13
+
+
+def test_move_to_front_one_row_is_the_compact_wy_path(rng):
+    # One reflector is applied directly; the result is bit-identical to the
+    # compact WY form, as are the results for more rows.
+    for cols in (1, 2, 5, 40):
+        unit = np.zeros((1, cols), dtype=complex)
+        unit[0, -1] = 1.0
+        for rows in (gen.complex_matrix(rng, 1, cols), unit, np.zeros((1, cols)),
+                     gen.complex_matrix(rng, 3, cols)):
+            mat = gen.complex_matrix(rng, 9, cols)
+            fast, slow = mat.copy(), mat.copy()
+            assert _move_to_front(rows, fast) == wy_move_to_front(rows, slow)
+            assert np.array_equal(fast, slow)
 
 
 def test_complement_example():
